@@ -82,15 +82,17 @@ func TestSubmitAfterCloseErrors(t *testing.T) {
 
 // schedulerEvents returns the pool's deterministic scheduling events —
 // task spans, waits, and migrations — normalized for comparison (times
-// zeroed, sorted by task then type then worker). Idle-probe events
-// (steal attempts and failed rounds) depend on wall-clock timing and are
-// excluded; on the workloads below no successful steals occur, so the
-// remaining events fully describe the worker assignment.
+// zeroed, sorted by task then type then worker). Every other type is an
+// idle event (steal probes, parks, wakes, ...) whose count depends on
+// wall-clock timing, so the filter keeps an allow-list: a future idle
+// event type cannot leak in. On the workloads below no successful steals
+// occur, so the kept events fully describe the worker assignment.
 func schedulerEvents(p *Pool) []TraceEvent {
 	var out []TraceEvent
 	for _, ev := range p.Tracer().Events() {
 		switch ev.Type {
-		case trace.EvStealAttempt, trace.EvStealSuccess, trace.EvStealFail:
+		case trace.EvTaskBegin, trace.EvTaskEnd, trace.EvWaitEnter, trace.EvWaitExit, trace.EvMigration:
+		default:
 			continue
 		}
 		ev.Time = 0

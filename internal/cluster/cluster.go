@@ -9,10 +9,9 @@
 // loaded pool only when the warm pool falls behind (cf. "On the
 // Efficiency of Localized Work Stealing", PAPERS.md).
 //
-// The cluster composes the server's interfaces (server.Runtime,
-// server.Admitter, server.Placer) rather than reimplementing admission:
-// each member pool is a *server.Server with its own runtime pool,
-// admission window, and placement cursor. Routing, by contrast, is
+// The cluster composes whole servers rather than reimplementing
+// admission: each member pool is a *server.Server with its own runtime
+// pool, admission window, and placement cursor. Routing, by contrast, is
 // cluster-level: every Submit takes one live load snapshot per pool,
 // asks the Router for a pool, classifies the decision against the
 // cluster's own key history (warm / cold / moved / spill), and submits

@@ -2,369 +2,35 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// atomiconlyAnalyzer enforces all-or-nothing atomicity on shared words:
-// once a word is accessed atomically anywhere, every access must be
-// atomic — the classic latent race of the Chase–Lev literature is one
-// forgotten plain read of an atomically published counter, which the
-// compiler may then tear, cache, or reorder. Two rules:
-//
-//  1. Legacy form: a variable or field whose address is passed to a
-//     sync/atomic function (atomic.AddInt64(&s.n, 1), ...) must never be
-//     read or written plainly, nor have its address escape to anything
-//     but a sync/atomic call.
-//  2. Typed form: a value whose type is (or recursively contains, through
-//     structs and arrays) one of the sync/atomic types (atomic.Int64,
-//     atomic.Pointer[T], ...) may only be used through an access path —
-//     field selection, indexing, method call, address-of, or index-only
-//     range. Copying such a value (assignment, argument, return,
-//     composite-literal element, two-variable range) duplicates the word
-//     and splits subsequent atomic updates across the copies. Slices,
-//     maps and pointers of atomic-containing element types are fine to
-//     copy: the header/pointer copy does not duplicate the words.
-//
-// Exemptions: plain access is allowed inside the owner type's
-// constructors (any function in the declaring package whose results
-// include the owner type or a pointer to it — the value is still
-// private), in functions annotated //adws:plainread (constructor-adjacent
-// helpers such as single-owner reinitializers), and on lines annotated
-// //adws:plainread with a justification (see docs/LINT.md for the
-// policy).
+// atomiconlyAnalyzer bans the function form of sync/atomic
+// (atomic.AddInt64(&x, 1), atomic.LoadUint64(&w), ...). A word handed to
+// those functions is a plain integer that any other line may still read
+// or write plainly, tearing or caching it. A typed atomic (atomic.Int64,
+// atomic.Pointer[T], ...) exposes its word only through atomic methods,
+// and go vet's copylocks check flags copies of one.
 var atomiconlyAnalyzer = &Analyzer{
 	Name: "atomiconly",
-	Doc:  "words accessed via sync/atomic must be accessed atomically everywhere (escape: //adws:plainread)",
+	Doc:  "no function-form sync/atomic: shared words use the typed atomics",
 	Run:  runAtomiconly,
 }
 
 func runAtomiconly(u *Universe) []Diagnostic {
-	pass := &atomiconlyPass{
-		u:       u,
-		words:   make(map[*types.Var]bool),
-		owners:  make(map[*types.Var]*types.TypeName),
-		atomics: make(map[types.Type]bool),
-	}
-	// Pass 1, module-wide: find every variable whose address reaches a
-	// sync/atomic call, and remember the owning named type of fields so
-	// constructors can be exempted.
-	for _, p := range u.Module {
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					pass.collectAtomicArgs(p, call)
-				}
-				return true
+	var diags []Diagnostic
+	for _, p := range u.Targets {
+		for id, obj := range p.Info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || fn.Type().(*types.Signature).Recv() != nil {
+				continue
+			}
+			diags = append(diags, Diagnostic{
+				Pos:      u.position(id.Pos()),
+				Analyzer: "atomiconly",
+				Message:  fmt.Sprintf("function-form atomic.%s: make the word a sync/atomic type and use its methods", fn.Name()),
 			})
 		}
 	}
-	// Pass 2, targets only: classify every use.
-	for _, p := range u.Targets {
-		for _, f := range p.Files {
-			pass.checkFile(p, f)
-		}
-	}
-	return pass.diags
-}
-
-type atomiconlyPass struct {
-	u *Universe
-	// words are the legacy atomic words: vars whose address is passed to a
-	// sync/atomic function somewhere in the module.
-	words map[*types.Var]bool
-	// owners maps a field var to the named type declaring it (via the
-	// selector base observed at the atomic call), for constructor checks.
-	owners map[*types.Var]*types.TypeName
-	// atomics memoizes atomicContaining by type.
-	atomics map[types.Type]bool
-	// atomicUses are the operand idents/selectors of sync/atomic calls,
-	// which must not be re-reported as plain uses.
-	atomicUses map[ast.Node]bool
-	diags      []Diagnostic
-}
-
-// isSyncAtomicFunc reports whether call invokes a package-level function
-// of sync/atomic (LoadInt64, AddUint64, CompareAndSwapPointer, ...).
-func isSyncAtomicFunc(info *types.Info, call *ast.CallExpr) bool {
-	fn := calleeOf(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
-// collectAtomicArgs records &x arguments of sync/atomic calls as atomic
-// words.
-func (a *atomiconlyPass) collectAtomicArgs(p *Package, call *ast.CallExpr) {
-	if !isSyncAtomicFunc(p.Info, call) {
-		return
-	}
-	for _, arg := range call.Args {
-		un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-		if !ok || un.Op != token.AND {
-			continue
-		}
-		v, base := referencedVar(p.Info, un.X)
-		if v == nil {
-			continue
-		}
-		a.words[v] = true
-		if base != nil {
-			a.owners[v] = base
-		}
-	}
-}
-
-// referencedVar resolves expr to the variable it names (x, s.n,
-// s.inner.n, arr[i] -> arr) plus, for fields, the named type of the
-// selector base.
-func referencedVar(info *types.Info, expr ast.Expr) (*types.Var, *types.TypeName) {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.Ident:
-		v, _ := info.Uses[e].(*types.Var)
-		return v, nil
-	case *ast.SelectorExpr:
-		v, ok := info.Uses[e.Sel].(*types.Var)
-		if !ok {
-			return nil, nil
-		}
-		var owner *types.TypeName
-		if t := typeOf(info, e.X); t != nil {
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			if named, ok := t.(*types.Named); ok {
-				owner = named.Obj()
-			}
-		}
-		return v, owner
-	case *ast.IndexExpr:
-		return referencedVar(info, e.X)
-	}
-	return nil, nil
-}
-
-// atomicContaining reports whether copying a value of type t duplicates
-// an atomic word: t is a sync/atomic type, or a struct or array holding
-// one (transitively). Pointer-, slice-, map-, chan- and func-typed values
-// only copy a reference.
-func (a *atomiconlyPass) atomicContaining(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if memo, ok := a.atomics[t]; ok {
-		return memo
-	}
-	a.atomics[t] = false // break reference cycles
-	res := false
-	if named, ok := t.(*types.Named); ok {
-		if obj := named.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic" {
-			res = true // every sync/atomic type is an atomic word
-		}
-	}
-	if !res {
-		switch u := t.Underlying().(type) {
-		case *types.Struct:
-			for i := 0; i < u.NumFields(); i++ {
-				if a.atomicContaining(u.Field(i).Type()) {
-					res = true
-					break
-				}
-			}
-		case *types.Array:
-			res = a.atomicContaining(u.Elem())
-		}
-	}
-	a.atomics[t] = res
-	return res
-}
-
-// checkFile classifies every use in one file, keeping a parent stack so
-// each flagged expression can be judged by its syntactic context.
-func (a *atomiconlyPass) checkFile(p *Package, f *ast.File) {
-	// First mark the sanctioned atomic-call operands of this file.
-	a.atomicUses = make(map[ast.Node]bool)
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || !isSyncAtomicFunc(p.Info, call) {
-			return true
-		}
-		for _, arg := range call.Args {
-			if un, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && un.Op == token.AND {
-				a.atomicUses[ast.Unparen(un.X)] = true
-			}
-		}
-		return true
-	})
-
-	var stack []ast.Node
-	var curFunc *ast.FuncDecl
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			if fd, ok := stack[len(stack)-1].(*ast.FuncDecl); ok && fd == curFunc {
-				curFunc = nil
-			}
-			stack = stack[:len(stack)-1]
-			return false
-		}
-		if fd, ok := n.(*ast.FuncDecl); ok {
-			curFunc = fd
-		}
-		a.checkExpr(p, n, stack, curFunc)
-		stack = append(stack, n)
-		return true
-	})
-}
-
-// checkExpr judges one node against both rules.
-func (a *atomiconlyPass) checkExpr(p *Package, n ast.Node, stack []ast.Node, curFunc *ast.FuncDecl) {
-	expr, ok := n.(ast.Expr)
-	if !ok {
-		return
-	}
-	// Rule 1: plain use of a legacy atomic word.
-	if v, _ := a.useOf(p.Info, expr); v != nil && a.words[v] {
-		if !a.atomicUses[expr] && !a.isAtomicOperand(expr, stack) {
-			if !a.exempt(p, curFunc, expr.Pos(), a.owners[v]) {
-				a.report(expr.Pos(), fmt.Sprintf(
-					"%s is accessed with sync/atomic elsewhere; plain access here can tear or race (use atomic ops, or //adws:plainread with justification)",
-					v.Name()))
-			}
-			return
-		}
-	}
-	// Rule 2: copying a typed-atomic-containing value.
-	tv, ok := p.Info.Types[expr]
-	if !ok || !tv.IsValue() || !a.atomicContaining(tv.Type) {
-		return
-	}
-	parent := parentOf(stack, expr)
-	if allowedAtomicContext(parent, expr) {
-		return
-	}
-	// unsafe.Sizeof/Offsetof/Alignof operands are layout probes, not copies.
-	if call, ok := parent.(*ast.CallExpr); ok {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if _, isBuiltin := p.Info.Uses[sel.Sel].(*types.Builtin); isBuiltin {
-				return
-			}
-		}
-	}
-	var ownerObj *types.TypeName
-	if named, ok := tv.Type.(*types.Named); ok {
-		ownerObj = named.Obj()
-	}
-	if a.exempt(p, curFunc, expr.Pos(), ownerObj) {
-		return
-	}
-	a.report(expr.Pos(), fmt.Sprintf(
-		"value of atomic-containing type %s is copied or used plainly here; copies split atomic state (access it through a field/method path, or //adws:plainread)",
-		tv.Type.String()))
-}
-
-// useOf resolves expr to a directly referenced variable: a bare ident or
-// a field selector (not through indexing — those are element accesses).
-func (a *atomiconlyPass) useOf(info *types.Info, expr ast.Expr) (*types.Var, bool) {
-	switch e := expr.(type) {
-	case *ast.Ident:
-		v, _ := info.Uses[e].(*types.Var)
-		if v != nil && v.IsField() {
-			return nil, false // the enclosing SelectorExpr reports it
-		}
-		return v, true
-	case *ast.SelectorExpr:
-		v, _ := info.Uses[e.Sel].(*types.Var)
-		return v, true
-	}
-	return nil, false
-}
-
-// isAtomicOperand reports whether expr is (through parens and one &) the
-// operand of a sync/atomic call.
-func (a *atomiconlyPass) isAtomicOperand(expr ast.Expr, stack []ast.Node) bool {
-	if a.atomicUses[expr] {
-		return true
-	}
-	parent := parentOf(stack, expr)
-	if un, ok := parent.(*ast.UnaryExpr); ok && un.Op == token.AND {
-		// &x itself sanctioned only when it feeds a sync/atomic call.
-		return a.atomicUses[expr]
-	}
-	return false
-}
-
-// parentOf returns the nearest non-paren ancestor of expr on the stack.
-func parentOf(stack []ast.Node, expr ast.Expr) ast.Node {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if _, ok := stack[i].(*ast.ParenExpr); ok {
-			continue
-		}
-		return stack[i]
-	}
-	return nil
-}
-
-// allowedAtomicContext reports whether parent uses the atomic-containing
-// expr as an access path rather than a copy: selecting into it, indexing
-// it, taking its address, or ranging over it by index only.
-func allowedAtomicContext(parent ast.Node, expr ast.Expr) bool {
-	switch p := parent.(type) {
-	case *ast.SelectorExpr:
-		return ast.Unparen(p.X) == expr
-	case *ast.IndexExpr:
-		return ast.Unparen(p.X) == expr
-	case *ast.UnaryExpr:
-		return p.Op == token.AND
-	case *ast.StarExpr:
-		return ast.Unparen(p.X) == expr
-	case *ast.RangeStmt:
-		return ast.Unparen(p.X) == expr && p.Value == nil
-	}
-	return false
-}
-
-// exempt reports whether a plain access at pos inside fd is sanctioned:
-// a //adws:plainread line or function, or a constructor of owner.
-func (a *atomiconlyPass) exempt(p *Package, fd *ast.FuncDecl, pos token.Pos, owner *types.TypeName) bool {
-	if a.u.lineDirective("plainread", pos) {
-		return true
-	}
-	if fd == nil {
-		return true // package-level initializer expressions run single-threaded
-	}
-	if hasDirective("plainread", fd.Doc) {
-		return true
-	}
-	if owner == nil {
-		return false
-	}
-	fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	for i := 0; i < sig.Results().Len(); i++ {
-		rt := sig.Results().At(i).Type()
-		if ptr, ok := rt.(*types.Pointer); ok {
-			rt = ptr.Elem()
-		}
-		if named, ok := rt.(*types.Named); ok && named.Obj() == owner {
-			return true // constructor: the value is not yet shared
-		}
-	}
-	return false
-}
-
-func (a *atomiconlyPass) report(pos token.Pos, msg string) {
-	a.diags = append(a.diags, Diagnostic{
-		Pos:      a.u.position(pos),
-		Analyzer: "atomiconly",
-		Message:  msg,
-	})
+	return diags
 }

@@ -4,25 +4,20 @@
 // go.mod stays dependency-free; package discovery is driven by
 // `go list -json` (see load.go).
 //
-// Seven analyzers ship today, each enforcing one invariant that previously
-// lived in review-only convention (see docs/LINT.md for the full policy):
+// Six analyzers ship today, each the one guard of an invariant that
+// previously lived in review-only convention (see docs/LINT.md for the
+// full policy and for the invariants guarded elsewhere):
 //
 //   - hotpath: functions annotated //adws:hotpath must not, transitively
 //     within the module, lock a sync.Mutex, perform channel operations
 //     (except lines annotated //adws:allow — the one-slot wake-channel
 //     pattern), call time.Sleep or anything in fmt, or defer.
-//   - atomicpad: fields of type paddedWord or annotated //adws:padded must
-//     sit at a 64-byte-aligned offset with at least 64 bytes to the next
-//     non-padding field; 64-bit operands of sync/atomic calls must be
-//     8-byte aligned under 32-bit layout rules.
 //   - evexhaustive: every switch over trace.EventType must handle all Ev*
 //     constants or carry an explicit default clause.
 //   - lockedby: fields annotated //adws:locked(mu) may only be accessed in
 //     functions that lock mu or are annotated //adws:requires(mu).
-//   - atomiconly: a variable accessed through sync/atomic anywhere in the
-//     module, or a value of an atomic-containing type, must never be read
-//     or written plainly outside its constructor (//adws:plainread is the
-//     documented escape hatch).
+//   - atomiconly: no function-form sync/atomic calls; shared words are
+//     typed atomics, which cannot be accessed plainly.
 //   - lockorder: the program-wide mutex acquisition graph — built from
 //     Lock/Unlock call sites plus //adws:requires facts — must follow the
 //     ranks declared by //adws:lockrank(n) and contain no cycles.
@@ -33,8 +28,8 @@
 // Directive grammar: a directive is a //-comment whose text (after "//",
 // no space) starts with "adws:", attached to the declaration it governs
 // (function doc, field doc or trailing comment, type doc) — or, for the
-// line-scoped directives //adws:allow and //adws:plainread, placed on the
-// offending line or the line directly above.
+// line-scoped directive //adws:allow, placed on the offending line or the
+// line directly above.
 package lint
 
 import (
@@ -68,7 +63,6 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		hotpathAnalyzer,
-		atomicpadAnalyzer,
 		evexhaustiveAnalyzer,
 		lockedbyAnalyzer,
 		atomiconlyAnalyzer,
@@ -98,9 +92,14 @@ type Universe struct {
 	Module map[string]*Package
 
 	funcDecls map[*types.Func]*funcDecl
-	// lineDirs indexes line-scoped directives (allow, plainread):
-	// directive name -> filename -> line carrying it.
-	lineDirs map[string]map[string]map[int]bool
+	// allowLines indexes the lines carrying an //adws:allow directive.
+	allowLines map[fileLine]bool
+}
+
+// fileLine is one source line.
+type fileLine struct {
+	file string
+	line int
 }
 
 // funcDecl pairs a function declaration with the package it lives in.
@@ -134,7 +133,7 @@ func (u *Universe) Run(analyzers []*Analyzer) []Diagnostic {
 
 // directive is one parsed //adws:name(args) comment.
 type directive struct {
-	name string // e.g. "hotpath", "padded", "locked", "requires", "allow"
+	name string // e.g. "hotpath", "locked", "requires", "allow"
 	args string // inside the parentheses, "" if none
 	pos  token.Pos
 }
@@ -195,49 +194,26 @@ func (u *Universe) position(pos token.Pos) token.Position {
 	return u.Fset.Position(pos)
 }
 
-// buildLineIndex records, per directive name and file, the lines carrying
-// a line-scoped //adws:<name> comment. A node is governed by such a
-// directive when its line or the line directly above carries it.
-func (u *Universe) buildLineIndex() {
-	if u.lineDirs != nil {
-		return
-	}
-	u.lineDirs = make(map[string]map[string]map[int]bool)
-	for _, p := range u.Module {
-		for _, f := range p.Files {
-			for _, g := range f.Comments {
-				for _, d := range parseDirectives(g) {
-					pos := u.position(d.pos)
-					files := u.lineDirs[d.name]
-					if files == nil {
-						files = make(map[string]map[int]bool)
-						u.lineDirs[d.name] = files
+// allowed reports whether pos sits on (or directly under) an //adws:allow
+// line.
+func (u *Universe) allowed(pos token.Pos) bool {
+	if u.allowLines == nil {
+		u.allowLines = make(map[fileLine]bool)
+		for _, p := range u.Module {
+			for _, f := range p.Files {
+				for _, g := range f.Comments {
+					for _, d := range parseDirectives(g) {
+						if d.name == "allow" {
+							dp := u.position(d.pos)
+							u.allowLines[fileLine{dp.Filename, dp.Line}] = true
+						}
 					}
-					m := files[pos.Filename]
-					if m == nil {
-						m = make(map[int]bool)
-						files[pos.Filename] = m
-					}
-					m[pos.Line] = true
 				}
 			}
 		}
 	}
-}
-
-// lineDirective reports whether pos sits on (or directly under) a line
-// carrying //adws:<name>.
-func (u *Universe) lineDirective(name string, pos token.Pos) bool {
-	u.buildLineIndex()
 	p := u.position(pos)
-	m := u.lineDirs[name][p.Filename]
-	return m != nil && (m[p.Line] || m[p.Line-1])
-}
-
-// allowed reports whether pos sits on (or directly under) an //adws:allow
-// line.
-func (u *Universe) allowed(pos token.Pos) bool {
-	return u.lineDirective("allow", pos)
+	return u.allowLines[fileLine{p.Filename, p.Line}] || u.allowLines[fileLine{p.Filename, p.Line - 1}]
 }
 
 // buildFuncIndex maps every module function object to its declaration so

@@ -27,7 +27,6 @@ func TestAnalyzersGolden(t *testing.T) {
 		dirs      []string
 	}{
 		{"hotpath", []string{"hotpath", "hotalloc"}, []string{"hotpath/bad", "hotpath/good"}},
-		{"atomicpad", []string{"atomicpad"}, []string{"atomicpad/bad", "atomicpad/good"}},
 		{"evexhaustive", []string{"evexhaustive"}, []string{"evexhaustive/bad", "evexhaustive/good"}},
 		{"lockedby", []string{"lockedby"}, []string{"lockedby/bad", "lockedby/good"}},
 		{"atomiconly", []string{"atomiconly"}, []string{"atomiconly/bad", "atomiconly/good"}},
@@ -147,7 +146,6 @@ func TestAllAnalyzersAcrossTestdata(t *testing.T) {
 	var dirs []string
 	for _, d := range []string{
 		"hotpath/bad", "hotpath/good",
-		"atomicpad/bad", "atomicpad/good",
 		"evexhaustive/bad", "evexhaustive/good",
 		"lockedby/bad", "lockedby/good",
 		"atomiconly/bad", "atomiconly/good",
@@ -202,7 +200,7 @@ func hot() {}
 
 type s struct {
 	a int //adws:locked(mu) guards a
-	b int //adws:padded
+	b int //adws:allow
 	c int // adws:ignored-with-space is not a directive
 }
 `
@@ -222,7 +220,7 @@ type s struct {
 			}
 		}
 	}
-	want := []string{"hotpath()", "locked(mu)", "padded()"}
+	want := []string{"hotpath()", "locked(mu)", "allow()"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("directives = %v, want %v", got, want)
 	}

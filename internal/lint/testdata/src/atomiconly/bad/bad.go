@@ -1,60 +1,19 @@
-// Package bad exercises both atomiconly rules: plain access to legacy
-// atomic words and copies of typed-atomic values.
+// Package bad exercises the atomiconly ban on function-form sync/atomic.
 package bad
 
 import "sync/atomic"
 
 type counter struct {
-	hits int64 // published with atomic.AddInt64; every access must be atomic
-	mode int32 // plain by design: never touched by sync/atomic
+	hits int64
 }
 
 func bump(c *counter) {
-	atomic.AddInt64(&c.hits, 1)
+	atomic.AddInt64(&c.hits, 1) // want `function-form atomic.AddInt64`
 }
 
-func readPlain(c *counter) int64 {
-	return c.hits // want `hits is accessed with sync/atomic elsewhere`
-}
-
-func writePlain(c *counter) {
-	c.hits = 0 // want `hits is accessed with sync/atomic elsewhere`
-	c.mode = 1 // mode is not an atomic word: fine
-}
-
-// gen is a package-level legacy atomic word.
 var gen uint64
 
-func next() uint64 { return atomic.AddUint64(&gen, 1) }
+func next() uint64 { return atomic.AddUint64(&gen, 1) } // want `function-form atomic.AddUint64`
 
-func peek() uint64 {
-	return gen // want `gen is accessed with sync/atomic elsewhere`
-}
-
-// stats is a typed-atomic container: copying it duplicates the word.
-type stats struct {
-	ops atomic.Int64
-}
-
-func snapshot(s *stats) int64 {
-	tmp := *s // want `value of atomic-containing type`
-	return tmp.ops.Load()
-}
-
-func consume(v atomic.Int64) int64 { return v.Load() }
-
-func pass(s *stats) int64 {
-	return consume(s.ops) // want `value of atomic-containing type`
-}
-
-type table struct {
-	slots [4]atomic.Uint32
-}
-
-func sum(t *table) uint32 {
-	var s uint32
-	for _, slot := range t.slots { // want `value of atomic-containing type`
-		s += slot.Load()
-	}
-	return s
-}
+// A function value is still the function form.
+var load = atomic.LoadUint64 // want `function-form atomic.LoadUint64`

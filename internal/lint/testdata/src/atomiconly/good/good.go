@@ -1,60 +1,32 @@
 // Package good holds atomiconly-clean idioms: typed atomics used through
-// access paths, slice headers of atomic-containing element types, and the
-// sanctioned plain accesses — constructors, //adws:plainread functions,
-// and //adws:plainread lines.
+// their methods, including generic ones and slices of atomic-containing
+// element types.
 package good
 
 import "sync/atomic"
 
 type counter struct {
 	hits atomic.Int64
-	mask uint64 // plain by design: never touched by sync/atomic
-}
-
-// newCounter is a constructor of counter: the value is still private, so
-// plain initialization needs no escape hatch.
-func newCounter(mask uint64) *counter {
-	c := &counter{}
-	c.mask = mask
-	c.hits.Store(0)
-	return c
+	mask uint64 // plain by design: never shared
 }
 
 func bump(c *counter) { c.hits.Add(1) }
 
 type hist struct {
 	shards []counter
-}
-
-func newHist(n int) *hist {
-	return &hist{shards: make([]counter, n)}
+	last   atomic.Pointer[counter]
 }
 
 func (h *hist) add(i int) {
-	h.shards[i%len(h.shards)].hits.Add(1) // index path: no copy
+	c := &h.shards[i%len(h.shards)]
+	c.hits.Add(1)
+	h.last.Store(c)
 }
 
 func (h *hist) total() int64 {
 	var sum int64
-	for i := range h.shards { // index-only range: no copy
+	for i := range h.shards {
 		sum += h.shards[i].hits.Load()
 	}
 	return sum
-}
-
-// gen is a legacy atomic word with constructor-adjacent plain access.
-var gen uint64
-
-func next() uint64 { return atomic.AddUint64(&gen, 1) }
-
-// resetGen is a single-owner reinitializer: it runs before any goroutine
-// that could observe gen starts, so plain stores cannot race.
-//
-//adws:plainread single-owner reset; runs before workers start
-func resetGen() {
-	gen = 0
-}
-
-func genEstimate() uint64 {
-	return gen //adws:plainread monotonic progress gauge; torn reads acceptable
 }

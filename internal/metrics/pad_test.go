@@ -7,9 +7,10 @@ import (
 
 // The padded cell and histogram shard must each span a whole number of
 // cache lines so adjacent counters and adjacent per-worker shards never
-// false-share. adwsvet's atomicpad analyzer enforces the //adws:padded
-// annotations; these assertions pin the concrete layout so a field
-// reorder that changes the sizes fails loudly.
+// false-share: recorders on different workers bump them concurrently on
+// the hot path. These assertions are the one guard of that layout: they
+// pin the concrete offsets and sizes, so a field reorder or a trimmed pad
+// fails loudly.
 
 func TestPaddedCellLayout(t *testing.T) {
 	if s := unsafe.Sizeof(padded{}); s != 64 {

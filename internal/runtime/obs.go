@@ -19,13 +19,14 @@ func (p *Pool) SchedSnapshot() obs.SchedSnapshot {
 	}
 	for i, w := range p.workers {
 		word, bit := p.idleWord(i)
+		c := w.counters()
 		ws := obs.WorkerState{
 			Worker:         i,
 			Parked:         word.Load()&bit != 0,
-			Tasks:          w.stats.tasks.Load(),
-			Steals:         w.stats.steals.Load(),
-			Parks:          w.stats.parks.Load(),
-			Wakes:          w.stats.wakes.Load(),
+			Tasks:          c.Tasks,
+			Steals:         c.Steals,
+			Parks:          c.Parks,
+			Wakes:          c.Wakes,
 			Job:            w.curJob.Load(),
 			LastEventAgeNS: -1,
 		}

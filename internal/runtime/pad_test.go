@@ -7,10 +7,11 @@ import (
 
 // The false-sharing guarantees the scheduler relies on are structural: the
 // idle-mask words and the per-worker counter block must each own whole
-// cache lines. adwsvet's atomicpad analyzer enforces the annotations
-// statically; these tests pin the actual layout the compiler produced, so
-// a field reorder that silently changes offsets fails here even if the
-// directives were edited too.
+// cache lines. Producers scan the idle words on every wakeup and each
+// worker bumps its counters on every task, so a shared line would bounce
+// between cores on the hottest paths. These tests are the one guard of
+// that layout: they pin the offsets and sizes the compiler produced, so a
+// field reorder or a trimmed pad fails here.
 
 const cacheLine = 64
 

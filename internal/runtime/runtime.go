@@ -148,7 +148,7 @@ type Pool struct {
 }
 
 // paddedWord is an atomic.Uint64 padded to its own cache line so idle-mask
-// words do not false-share.
+// words do not false-share (layout pinned by pad_test.go).
 type paddedWord struct {
 	atomic.Uint64
 	_ [56]byte
@@ -505,29 +505,36 @@ func (s Stats) StealSuccessRate() float64 {
 	return float64(s.Steals) / float64(s.StealAttempts)
 }
 
+// counters reads the worker's counter block: the one reader behind both
+// Pool.Stats and SchedSnapshot. Each word is loaded atomically; the row
+// is not an atomic cut across words.
+func (w *worker) counters() WorkerStats {
+	wi := w.stats.waitIdleNS.Load()
+	busy := w.stats.busyNS.Load() - wi
+	if busy < 0 {
+		// waitIdleNS accumulates inside a still-open busy span: until the
+		// outer busyNS add lands the difference can transiently go
+		// negative. Clamp rather than report nonsense mid-run.
+		busy = 0
+	}
+	return WorkerStats{
+		Worker:        w.id,
+		Tasks:         w.stats.tasks.Load(),
+		Steals:        w.stats.steals.Load(),
+		StealAttempts: w.stats.stealAttempts.Load(),
+		Migrations:    w.stats.migrations.Load(),
+		Parks:         w.stats.parks.Load(),
+		Wakes:         w.stats.wakes.Load(),
+		BusyNS:        busy,
+		IdleNS:        w.stats.idleNS.Load() + wi,
+	}
+}
+
 // Stats returns scheduling counters accumulated since pool creation.
 func (p *Pool) Stats() Stats {
 	s := Stats{PerWorker: make([]WorkerStats, len(p.workers))}
 	for i, w := range p.workers {
-		wi := w.stats.waitIdleNS.Load()
-		busy := w.stats.busyNS.Load() - wi
-		if busy < 0 {
-			// waitIdleNS accumulates inside a still-open busy span: until
-			// the outer busyNS add lands the difference can transiently go
-			// negative. Clamp rather than report nonsense mid-run.
-			busy = 0
-		}
-		ws := WorkerStats{
-			Worker:        i,
-			Tasks:         w.stats.tasks.Load(),
-			Steals:        w.stats.steals.Load(),
-			StealAttempts: w.stats.stealAttempts.Load(),
-			Migrations:    w.stats.migrations.Load(),
-			Parks:         w.stats.parks.Load(),
-			Wakes:         w.stats.wakes.Load(),
-			BusyNS:        busy,
-			IdleNS:        w.stats.idleNS.Load() + wi,
-		}
+		ws := w.counters()
 		s.PerWorker[i] = ws
 		s.Tasks += ws.Tasks
 		s.Steals += ws.Steals
@@ -545,7 +552,7 @@ func (p *Pool) Stats() Stats {
 // lines: the counters are bumped by the owning worker on every task,
 // steal probe, and park cycle, and must not share a line with the fields
 // producers read on the wakeup fast path (parkCh, id). Padding is
-// enforced by adwsvet's atomicpad analyzer and runtime/pad_test.go.
+// pinned by pad_test.go.
 type workerStats struct {
 	tasks, steals, stealAttempts, migrations atomic.Int64
 	// parks counts blocking park cycles; wakes counts wake tokens
@@ -564,7 +571,7 @@ type workerStats struct {
 type worker struct {
 	// stats leads the struct so the owner-written counters start at
 	// offset 0 on their own cache lines.
-	stats workerStats //adws:padded
+	stats workerStats
 
 	id   int
 	pool *Pool

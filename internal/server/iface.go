@@ -1,29 +1,6 @@
 package server
 
-import (
-	"time"
-
-	"github.com/parlab/adws/internal/runtime"
-)
-
-// The server used to be one concrete struct hard-wired to *runtime.Pool
-// with a fixed bounded-FIFO admission rule and a fixed rolling-cursor
-// placement rule. Those three concerns are now interfaces — Runtime,
-// Admitter, Placer — so higher layers (notably internal/cluster, which
-// shards jobs across many servers) can compose them: a cluster member is
-// just a Server over its own Runtime, and admission or placement policy
-// can be swapped per shard without touching the job-lifecycle machinery.
-
-// Runtime is the pool-ownership surface the server schedules onto: root
-// injection over a worker sub-range and the pool size. *runtime.Pool
-// implements it; tests may substitute fakes.
-type Runtime interface {
-	// SubmitRoot injects fn as a root task group on the worker-range
-	// fraction [lo, hi) and returns its handle without waiting.
-	SubmitRoot(fn func(*runtime.Ctx), lo, hi float64) (*runtime.RootJob, error)
-	// NumWorkers returns the pool's worker count.
-	NumWorkers() int
-}
+import "time"
 
 // Admitter is the admission policy. All methods are called under the
 // server's mutex with the live admission state; implementations must not
@@ -67,58 +44,3 @@ func (b BoundedFIFO) CanDispatch(running int) bool { return running < b.MaxInFli
 
 // Next dispatches strictly in submission order.
 func (b BoundedFIFO) Next(now time.Time, queue []*Job) int { return 0 }
-
-// Load is the placement snapshot a Placer decides from.
-type Load struct {
-	// WorkSum is the summed work hints of the currently running jobs,
-	// not yet including the dispatching job.
-	WorkSum float64
-	// Workers is the pool size.
-	Workers int
-}
-
-// Placer carves the worker sub-range a dispatching job is injected on.
-// Place is called under the server's mutex, in dispatch order, so
-// implementations may keep unsynchronized state (the default placer's
-// rolling cursor).
-type Placer interface {
-	// Place returns the worker-range fraction [lo, hi) ⊆ [0, 1] for a
-	// job with the given (positive) work hint.
-	Place(work float64, ld Load) (lo, hi float64)
-}
-
-// CursorPlacer is the default placement policy — the paper's §3.1
-// hint-proportional division applied at the job level: a job with work
-// hint w receives the fraction w / (running work + w) of the workers,
-// clamped to at least one worker, carved from a rolling cursor that
-// wraps to 0 when the slice would cross the top. Deterministic in
-// dispatch order.
-type CursorPlacer struct {
-	cursor float64 // rolling placement cursor in [0, 1)
-}
-
-// NewCursorPlacer returns a placer with its cursor at 0.
-func NewCursorPlacer() *CursorPlacer { return &CursorPlacer{} }
-
-// Place implements Placer.
-func (p *CursorPlacer) Place(work float64, ld Load) (lo, hi float64) {
-	width := work / (ld.WorkSum + work)
-	if minW := 1 / float64(ld.Workers); width < minW {
-		width = minW
-	}
-	if width > 1 {
-		width = 1
-	}
-	if p.cursor+width > 1 {
-		p.cursor = 0
-	}
-	lo = p.cursor
-	hi = lo + width
-	if hi >= 1 {
-		hi = 1
-		p.cursor = 0
-	} else {
-		p.cursor = hi
-	}
-	return lo, hi
-}

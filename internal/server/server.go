@@ -55,18 +55,16 @@ const (
 // Config parameterizes admission control and placement.
 type Config struct {
 	// MaxInFlight caps concurrently running jobs (<= 0: the pool's worker
-	// count). Consulted by the built-in Admitters only.
+	// count).
 	MaxInFlight int
 	// MaxQueue caps the admission queue depth; submissions beyond it are
 	// fast-rejected with ErrOverloaded (<= 0: 4 × MaxInFlight).
-	// Consulted by the built-in Admitters only.
 	MaxQueue int
 	// RetainDone caps how many terminal jobs the id lookup keeps, oldest
 	// evicted first (<= 0: 1024). In-flight jobs are always retained.
 	RetainDone int
-	// AdmissionPolicy selects the built-in admission policy when Admitter
-	// is nil: AdmitFIFO (default) or AdmitSLO. Any other value panics in
-	// New.
+	// AdmissionPolicy selects the admission policy: AdmitFIFO (default)
+	// or AdmitSLO. Any other value panics in New.
 	AdmissionPolicy string
 	// Classes is the priority-class list, highest priority first (nil:
 	// DefaultClasses). Per-class accounting uses it under every policy;
@@ -83,11 +81,6 @@ type Config struct {
 	// buckets (rate <= 0 disables limiting; burst <= 0 defaults to
 	// max(1, rate)).
 	TenantRate, TenantBurst float64
-	// Admitter is the admission policy (nil: built from AdmissionPolicy).
-	Admitter Admitter
-	// Placer is the worker-range placement policy (nil: a fresh
-	// CursorPlacer).
-	Placer Placer
 	// Metrics, if non-nil, receives per-job queue-wait, service, and
 	// end-to-end latencies plus admission reject / deadline-expiry counts
 	// (see Metrics). Nil disables recording at one pointer check per site.
@@ -122,24 +115,22 @@ func (c Config) withDefaults(workers int) Config {
 	if !containsClass(c.Classes, c.DefaultClass) {
 		panic("server: DefaultClass " + c.DefaultClass + " is not in Classes")
 	}
-	if c.Admitter == nil {
-		switch c.AdmissionPolicy {
-		case AdmitFIFO:
-			c.Admitter = BoundedFIFO{MaxInFlight: c.MaxInFlight, MaxQueue: c.MaxQueue}
-		case AdmitSLO:
-			p := NewPriorityAdmitter(c.Classes, c.MaxInFlight, c.MaxQueue)
-			p.Aging = c.Aging
-			p.TenantRate = c.TenantRate
-			p.TenantBurst = c.TenantBurst
-			c.Admitter = p
-		default:
-			panic("server: unknown admission policy " + c.AdmissionPolicy)
-		}
-	}
-	if c.Placer == nil {
-		c.Placer = NewCursorPlacer()
-	}
 	return c
+}
+
+// admitter builds the admission policy AdmissionPolicy selects.
+func (c Config) admitter() Admitter {
+	switch c.AdmissionPolicy {
+	case AdmitFIFO:
+		return BoundedFIFO{MaxInFlight: c.MaxInFlight, MaxQueue: c.MaxQueue}
+	case AdmitSLO:
+		p := NewPriorityAdmitter(c.Classes, c.MaxInFlight, c.MaxQueue)
+		p.Aging = c.Aging
+		p.TenantRate = c.TenantRate
+		p.TenantBurst = c.TenantBurst
+		return p
+	}
+	panic("server: unknown admission policy " + c.AdmissionPolicy)
 }
 
 // Counters are the server's monotonic admission counters.
@@ -171,11 +162,11 @@ func containsClass(classes []string, c string) bool {
 	return false
 }
 
-// Server serves concurrent jobs on one Runtime (usually a
-// *runtime.Pool).
+// Server serves concurrent jobs on one runtime pool.
 type Server struct {
-	pool Runtime
-	cfg  Config
+	pool  *runtime.Pool
+	cfg   Config
+	admit Admitter
 	// metrics is nil unless latency recording was requested.
 	metrics *Metrics
 
@@ -183,6 +174,7 @@ type Server struct {
 	queue    []*Job
 	running  int
 	workSum  float64 // Σ work hints of running jobs
+	cursor   float64 // rolling placement cursor in [0, 1)
 	idSeq    int64
 	draining bool
 	closed   bool
@@ -196,7 +188,7 @@ type Server struct {
 
 // New creates a job server over pool. The server starts no goroutines
 // until jobs are submitted.
-func New(pool Runtime, cfg Config) *Server {
+func New(pool *runtime.Pool, cfg Config) *Server {
 	if cfg.Metrics != nil {
 		cfg.Metrics.check()
 	}
@@ -208,6 +200,7 @@ func New(pool Runtime, cfg Config) *Server {
 	return &Server{
 		pool:    pool,
 		cfg:     cfg,
+		admit:   cfg.admitter(),
 		metrics: cfg.Metrics,
 		jobs:    make(map[int64]*Job),
 		classes: classes,
@@ -263,7 +256,7 @@ func (s *Server) Submit(ctx context.Context, fn func(*runtime.Ctx) error, h Hint
 	// consulting the Admitter, so a burst of short-deadline jobs cannot
 	// pin queue slots and cause spurious ErrOverloaded rejects.
 	s.reapExpiredLocked()
-	if err := s.cfg.Admitter.Admit(h, now, len(s.queue), s.running); err != nil {
+	if err := s.admit.Admit(h, now, len(s.queue), s.running); err != nil {
 		s.ctrs.Rejected++
 		cs.ctrs.Rejected++
 		s.noteReject(err)
@@ -293,7 +286,7 @@ func (s *Server) Submit(ctx context.Context, fn func(*runtime.Ctx) error, h Hint
 	cs.ctrs.Submitted++
 	s.retainLocked(j)
 
-	if s.cfg.Admitter.CanDispatch(s.running) && len(s.queue) == 0 {
+	if s.admit.CanDispatch(s.running) && len(s.queue) == 0 {
 		s.dispatchLocked(j)
 		return j, nil
 	}
@@ -348,11 +341,33 @@ func (s *Server) dispatchLocked(j *Job) {
 	go s.reap(j, work)
 }
 
-// placeLocked delegates the worker-range division to the configured
-// Placer (by default CursorPlacer, the §3.1 hint-proportional division —
-// see iface.go). Caller holds s.mu.
+// placeLocked returns the worker-range fraction [lo, hi) ⊆ [0, 1] for a
+// dispatching job with the given (positive) work hint — the paper's §3.1
+// hint-proportional division applied at the job level: the job receives
+// the fraction work / (running work + work) of the workers, clamped to at
+// least one worker, carved from a rolling cursor that wraps to 0 when the
+// slice would cross the top. Deterministic in dispatch order. Caller
+// holds s.mu.
 func (s *Server) placeLocked(work float64) (lo, hi float64) {
-	return s.cfg.Placer.Place(work, Load{WorkSum: s.workSum, Workers: s.pool.NumWorkers()})
+	width := work / (s.workSum + work)
+	if minW := 1 / float64(s.pool.NumWorkers()); width < minW {
+		width = minW
+	}
+	if width > 1 {
+		width = 1
+	}
+	if s.cursor+width > 1 {
+		s.cursor = 0
+	}
+	lo = s.cursor
+	hi = lo + width
+	if hi >= 1 {
+		hi = 1
+		s.cursor = 0
+	} else {
+		s.cursor = hi
+	}
+	return lo, hi
 }
 
 // body wraps the job's fn for the runtime: a sized root task group when
@@ -415,9 +430,9 @@ func (s *Server) reap(j *Job, work float64) {
 // Admitter-chosen order while running slots are free. Caller holds s.mu.
 func (s *Server) dispatchQueuedLocked() {
 	s.reapExpiredLocked()
-	for s.cfg.Admitter.CanDispatch(s.running) && len(s.queue) > 0 {
+	for s.admit.CanDispatch(s.running) && len(s.queue) > 0 {
 		now := time.Now()
-		i := s.cfg.Admitter.Next(now, s.queue)
+		i := s.admit.Next(now, s.queue)
 		if i < 0 || i >= len(s.queue) {
 			i = 0
 		}
@@ -663,7 +678,7 @@ func (s *Server) JainByClass() map[string]float64 {
 	return out
 }
 
-// Workers returns the underlying Runtime's worker count.
+// Workers returns the underlying pool's worker count.
 func (s *Server) Workers() int { return s.pool.NumWorkers() }
 
 // Counters returns the monotonic admission counters.

@@ -7,9 +7,10 @@ import (
 
 // The tracer keeps one ring per worker in a single slice, so the layout —
 // not a sync primitive — is what stops worker i's cursor stores from
-// invalidating worker i+1's cursor or buffer header. adwsvet's atomicpad
-// analyzer enforces the //adws:padded annotations; this test pins the
-// compiled layout.
+// invalidating worker i+1's cursor or buffer header. Every traced event
+// stores a cursor, so a shared line would bounce between recording
+// workers. This test is the one guard of that layout: it pins the
+// compiled offsets and sizes.
 func TestRingLayout(t *testing.T) {
 	const cacheLine = 64
 	var r ring

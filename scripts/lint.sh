@@ -2,11 +2,13 @@
 # lint.sh — the repo's static-analysis gate.
 #
 # Runs, in order:
-#   1. go vet ./...              the standard toolchain checks
+#   1. go vet ./...              the standard toolchain checks; its
+#      copylocks check is the one guard against copying a typed atomic
 #   2. go run ./cmd/adwsvet ./...   the project's own analyzers (see
-#      docs/LINT.md): hotpath, atomicpad, evexhaustive, lockedby,
-#      atomiconly, lockorder, hotalloc — the scheduler's concurrency
-#      invariants that go vet cannot see.
+#      docs/LINT.md): hotpath, evexhaustive, lockedby, atomiconly,
+#      lockorder, hotalloc — the scheduler's concurrency invariants that
+#      go vet cannot see. Cache-line padding is guarded by the pad_test.go
+#      layout tests, not here.
 #
 # Self-check: ./... includes cmd/adwsvet and internal/lint themselves, so
 # the suite runs over its own sources every time (go list skips only the
