@@ -151,10 +151,19 @@ func (d *daemon) handler() http.Handler {
 	return mux
 }
 
+// maxRequestBytes bounds a POST /jobs body; a jobRequest needs a few
+// hundred bytes.
+const maxRequestBytes = 64 << 10
+
 func (d *daemon) postJob(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	build, ok := d.workloads[req.Workload]

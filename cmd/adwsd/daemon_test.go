@@ -269,6 +269,21 @@ func TestDaemonBadRequests(t *testing.T) {
 	if code, _ := postJSON(t, ts.URL+"/jobs", `{"workload": "fib", "n": 99}`); code != http.StatusBadRequest {
 		t.Errorf("oversized fib: status %d, want 400", code)
 	}
+	// A 200000-side matmul would need ~160 GB of arrays; allocating them
+	// kills the process with an unrecoverable out-of-memory error.
+	if code, _ := postJSON(t, ts.URL+"/jobs", `{"workload": "matmul", "n": 200000}`); code != http.StatusBadRequest {
+		t.Errorf("oversized matmul: status %d, want 400", code)
+	}
+	big := `{"workload": "fib", "key": "` + strings.Repeat("k", maxRequestBytes) + `"}`
+	if code, _ := postJSON(t, ts.URL+"/jobs", big); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", code)
+	}
+	// The daemon keeps serving after the rejections.
+	code, jr := postJSON(t, ts.URL+"/jobs", `{"workload": "fib", "n": 10}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("valid job after rejections: status %d, want 202", code)
+	}
+	waitDaemonJob(t, ts.URL, jr.ID)
 	resp, err := http.Get(ts.URL + "/jobs/999")
 	if err != nil {
 		t.Fatal(err)

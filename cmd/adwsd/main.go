@@ -19,6 +19,9 @@
 //	GET  /debug/fr        flight-recorder dump (?pool=i, ?format=chrome)
 //	GET  /debug/pprof/    stdlib pprof index and profiles
 //
+// POST /jobs bodies are capped at 64 KiB (413 beyond it), and each
+// workload's n at workload.MaxJobBytes of arrays (400 beyond it).
+//
 // Shutdown: SIGINT/SIGTERM drains in-flight jobs (bounded by -draintimeout)
 // before closing the pools.
 package main
@@ -38,6 +41,10 @@ import (
 
 	"github.com/parlab/adws"
 )
+
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so idle or slow connections cannot pin server goroutines.
+const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	var (
@@ -98,7 +105,7 @@ func main() {
 	}
 
 	d := newDaemon(cluster, *traceMetrics && *traceCap > 0)
-	srv := &http.Server{Addr: *addr, Handler: d.handler()}
+	srv := &http.Server{Addr: *addr, Handler: d.handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)

@@ -132,6 +132,24 @@ func TestAffinityWarmHitRateBeatsRoundRobin(t *testing.T) {
 		t.Errorf("affinity warm rate %.2f not above round-robin %.2f",
 			affTotals.WarmRate(), rrTotals.WarmRate())
 	}
+	// The routing ledger is consistent under both policies: the verdicts
+	// partition the routed jobs, per pool and in total.
+	for name, c := range map[string]*Cluster{"affinity": aff.Cluster, "round-robin": rr.Cluster} {
+		tot := c.Totals()
+		if sum := tot.Warm + tot.Cold + tot.Spill + tot.Moved; sum != tot.Jobs {
+			t.Errorf("%s: warm+cold+spill+moved = %d, want Jobs %d", name, sum, tot.Jobs)
+		}
+		var poolJobs int64
+		for i, rc := range c.RouteCounts() {
+			if sum := rc.Warm + rc.Cold + rc.Spill + rc.Moved; sum != rc.Jobs {
+				t.Errorf("%s pool %d: warm+cold+spill+moved = %d, want Jobs %d", name, i, sum, rc.Jobs)
+			}
+			poolJobs += rc.Jobs
+		}
+		if poolJobs != tot.Jobs {
+			t.Errorf("%s: per-pool Jobs sum to %d, want Totals().Jobs %d", name, poolJobs, tot.Jobs)
+		}
+	}
 
 	// Trace attribution: drain, then slice each pool's trace by job and
 	// count the pools each key's jobs actually ran tasks on.

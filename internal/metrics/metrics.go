@@ -109,13 +109,12 @@ type entry struct {
 // are safe concurrently.
 type Registry struct {
 	entries  []entry
-	byName   map[string]*Histogram
 	onRender []func()
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*Histogram)}
+	return &Registry{}
 }
 
 func (r *Registry) register(e entry) {
@@ -172,7 +171,6 @@ func (r *Registry) Histogram(name, help string, shards int) *Histogram {
 	}
 	h := &Histogram{name: name, help: help, shards: make([]histShard, shards)}
 	r.register(entry{name: name, help: help, typ: "histogram", hist: h})
-	r.byName[name] = h
 	return h
 }
 
@@ -244,10 +242,6 @@ func (r *Registry) GaugeMultiFunc(name, help string, fn func() []MultiLabeled) {
 func (r *Registry) OnRender(fn func()) {
 	r.onRender = append(r.onRender, fn)
 }
-
-// FindHistogram returns the registered histogram with the given name, or
-// nil.
-func (r *Registry) FindHistogram(name string) *Histogram { return r.byName[name] }
 
 // WriteText renders every registered family as Prometheus text
 // exposition format 0.0.4. Histogram sample values are converted from
@@ -374,26 +368,4 @@ func formatValue(v float64) string {
 func escapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// Quantiles is a compact percentile summary of a histogram snapshot in
-// seconds, as embedded in BENCH_*.json trajectory points.
-type Quantiles struct {
-	Count int64   `json:"count"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	Max   float64 `json:"max"`
-}
-
-// SummarizeSeconds extracts Count/p50/p90/p99/max from a snapshot,
-// converting recorded nanoseconds to seconds.
-func (s *Snapshot) SummarizeSeconds() Quantiles {
-	return Quantiles{
-		Count: s.Count,
-		P50:   s.Quantile(0.50) / 1e9,
-		P90:   s.Quantile(0.90) / 1e9,
-		P99:   s.Quantile(0.99) / 1e9,
-		Max:   float64(s.Max) / 1e9,
-	}
 }

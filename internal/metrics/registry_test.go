@@ -225,17 +225,6 @@ func TestRegistryPanics(t *testing.T) {
 	mustPanic("bad rune", func() { r.Counter("has space", "") })
 }
 
-func TestFindHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("test_h_seconds", "", 1)
-	if r.FindHistogram("test_h_seconds") != h {
-		t.Fatal("FindHistogram missed a registered histogram")
-	}
-	if r.FindHistogram("nope") != nil {
-		t.Fatal("FindHistogram invented a histogram")
-	}
-}
-
 // TestParseTextRejects pins the failure modes the strict parser exists to
 // catch — the exposition bugs this package's registry replaced.
 func TestParseTextRejects(t *testing.T) {
@@ -284,22 +273,5 @@ func TestParseTextAccepts(t *testing.T) {
 	}
 	if fams[0].Help != "Things." {
 		t.Fatalf("help = %q", fams[0].Help)
-	}
-}
-
-func TestSummarizeSeconds(t *testing.T) {
-	h := &Histogram{name: "x", shards: make([]histShard, 1)}
-	for i := 0; i < 100; i++ {
-		h.Record(0, 1_000_000) // 1ms
-	}
-	q := func() Quantiles { s := h.Snapshot(); return s.SummarizeSeconds() }()
-	if q.Count != 100 {
-		t.Fatalf("count %d", q.Count)
-	}
-	if q.P50 < 0.001 || q.P50 > 0.001*1.2 {
-		t.Fatalf("p50 %g out of bounds", q.P50)
-	}
-	if q.Max != 0.001 {
-		t.Fatalf("max %g, want exactly 0.001", q.Max)
 	}
 }

@@ -477,6 +477,10 @@ func (s *Server) completeLocked(j *Job, st State, err error) {
 	}
 	j.state = st
 	j.err = err
+	// Retained jobs must not pin their inputs: drop the closure. Every
+	// caller runs after the root's Done or before dispatch, so no worker
+	// can still be reading fn.
+	j.fn = nil
 	j.finished = time.Now()
 	s.noteComplete(j)
 	j.cancel()

@@ -433,6 +433,16 @@ func TestRetention(t *testing.T) {
 	if got := len(s.Jobs()); got != 3 {
 		t.Errorf("Jobs() returned %d, want 3", got)
 	}
+	// A retained job must not keep its closure, and with it the job's
+	// inputs, reachable.
+	jobs := s.Jobs()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, j := range jobs {
+		if j.fn != nil {
+			t.Errorf("finished job %d still holds its fn", j.ID())
+		}
+	}
 }
 
 func TestConfigDefaults(t *testing.T) {

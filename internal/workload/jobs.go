@@ -38,15 +38,38 @@ func JobNames() []string {
 	return []string{"quicksort", "kdtree", "rrm", "matmul", "heat2d", "fib"}
 }
 
+// MaxJobBytes bounds one job's arrays: NewJob rejects any n whose Size
+// hint (the bytes of the input and output arrays it allocates, row
+// padding aside) would exceed it, so a single request cannot make a
+// server allocate without limit. The defaults use at most 10 MB.
+const MaxJobBytes = 64 << 20
+
+// checkSize rejects n when the job's arrays, perUnit bytes per element
+// (or per cell of an n×n grid when square), would exceed MaxJobBytes.
+func checkSize(name string, n, perUnit int, square bool) error {
+	limit := MaxJobBytes / perUnit
+	if square {
+		limit = int(math.Sqrt(float64(limit)))
+	}
+	if n > limit {
+		return fmt.Errorf("workload: %s size %d too large (max %d within %d bytes)", name, n, limit, MaxJobBytes)
+	}
+	return nil
+}
+
 // NewJob builds a named real-runtime workload instance of problem size n
 // (elements, points, matrix side, or grid side; n <= 0 selects a default)
-// with deterministic pseudo-random input drawn from seed.
+// with deterministic pseudo-random input drawn from seed. Sizes beyond
+// MaxJobBytes (or fib beyond 40) are an error.
 func NewJob(name string, n int, seed uint64) (Job, error) {
 	rng := sched.NewRNG(seed^0x5EED50B5, 0)
 	switch name {
 	case "quicksort":
 		if n <= 0 {
 			n = 500_000
+		}
+		if err := checkSize(name, n, 16, false); err != nil {
+			return Job{}, err
 		}
 		data := make([]float64, n)
 		for i := range data {
@@ -64,6 +87,9 @@ func NewJob(name string, n int, seed uint64) (Job, error) {
 	case "kdtree":
 		if n <= 0 {
 			n = 200_000
+		}
+		if err := checkSize(name, n, 48, false); err != nil {
+			return Job{}, err
 		}
 		pts := make([]kernels.KDPoint, n)
 		for i := range pts {
@@ -83,6 +109,9 @@ func NewJob(name string, n int, seed uint64) (Job, error) {
 		if n <= 0 {
 			n = 500_000
 		}
+		if err := checkSize(name, n, 8, false); err != nil {
+			return Job{}, err
+		}
 		data := make([]float64, n)
 		for i := range data {
 			data[i] = 1
@@ -101,6 +130,9 @@ func NewJob(name string, n int, seed uint64) (Job, error) {
 	case "matmul":
 		if n <= 0 {
 			n = 256
+		}
+		if err := checkSize(name, n, 12, true); err != nil {
+			return Job{}, err
 		}
 		A, B, C := kernels.NewMatrix(n), kernels.NewMatrix(n), kernels.NewMatrix(n)
 		for i := 0; i < n; i++ {
@@ -127,6 +159,9 @@ func NewJob(name string, n int, seed uint64) (Job, error) {
 	case "heat2d":
 		if n <= 0 {
 			n = 512
+		}
+		if err := checkSize(name, n, 16, true); err != nil {
+			return Job{}, err
 		}
 		const iters = 4
 		src, dst := kernels.NewGrid(n), kernels.NewGrid(n)

@@ -61,4 +61,32 @@ func TestNewJobDefaultsAndErrors(t *testing.T) {
 	if _, err := NewJob("fib", 60, 1); err == nil {
 		t.Error("oversized fib accepted")
 	}
+	// MaxJobBytes: every sized workload accepts its largest n, whose Size
+	// hint fits the budget, and rejects the next one before allocating.
+	limits := map[string]int{
+		"quicksort": MaxJobBytes / 16,
+		"kdtree":    MaxJobBytes / 48,
+		"rrm":       MaxJobBytes / 8,
+		"matmul":    2364, // floor(sqrt(MaxJobBytes / 12))
+		"heat2d":    2048, // sqrt(MaxJobBytes / 16)
+	}
+	for name, limit := range limits {
+		wj, err := NewJob(name, limit, 1)
+		if err != nil {
+			t.Errorf("NewJob(%q, %d) at the limit: %v", name, limit, err)
+		} else if wj.Size > MaxJobBytes {
+			t.Errorf("NewJob(%q, %d): Size %d exceeds MaxJobBytes %d", name, limit, wj.Size, MaxJobBytes)
+		}
+		for _, n := range []int{limit + 1, 1 << 40} {
+			if _, err := NewJob(name, n, 1); err == nil {
+				t.Errorf("NewJob(%q, %d) accepted beyond MaxJobBytes", name, n)
+			}
+		}
+	}
+	// The benchmark's serving mix stays accepted.
+	for name, n := range map[string]int{"rrm": 20000, "heat2d": 128, "quicksort": 10000, "matmul": 64} {
+		if _, err := NewJob(name, n, 1); err != nil {
+			t.Errorf("NewJob(%q, %d): %v", name, n, err)
+		}
+	}
 }

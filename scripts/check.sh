@@ -35,11 +35,10 @@
 #      flight recorder (internal/runtime TestFlightOverheadSmoke) and
 #      fails if the recorder-on run exceeds a generous 1.5x budget; the
 #      precise <=3% acceptance numbers live in results/flight_recorder.txt.
-#   9. scripts/bench.sh -smoke                       trajectory smoke
-#      Schema-checks every committed BENCH_*.json perf-trajectory point
-#      and does one tiny adwsload run whose /metrics exposition is
-#      re-parsed with the strict internal parser, so a registry change
-#      that breaks scrapes or the committed trajectory fails here.
+#   9. go vet + go test in perfbench/                benchmark module
+#      perfbench is a separate module (its own go.mod), so the root
+#      go build/test never compiles it; this step catches a root API
+#      change that would break the benchmark before it is run.
 #
 # Watchdog flight-recorder dumps written during the run (any test whose
 # watchdog fires without an explicit DumpDir) land in $ADWS_FR_DIR,
@@ -82,6 +81,11 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 echo "==> ADWS_BENCH_SMOKE=1 flight-recorder overhead gate"
 ADWS_BENCH_SMOKE=1 go test ./internal/runtime/ -run TestFlightOverheadSmoke -count=1
 
-scripts/bench.sh -smoke
+echo "==> perfbench: go vet ./... && go test ./...   (benchmark module)"
+(
+    cd perfbench
+    export GOPROXY=off GOWORK=off GOFLAGS=-mod=mod
+    go vet ./... && go test ./...
+)
 
 echo "OK: all checks passed"
