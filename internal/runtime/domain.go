@@ -6,7 +6,6 @@ import (
 
 	"github.com/parlab/adws/internal/deque"
 	"github.com/parlab/adws/internal/sched"
-	"github.com/parlab/adws/internal/topology"
 )
 
 // entity is one scheduling slot of a domain, with its own lock-protected
@@ -115,51 +114,22 @@ func (e *entity) stealAny() *task {
 	return t
 }
 
-// domain is one single-level scheduling arena (see the simulator's twin in
-// internal/sim for the full commentary).
+// domain is one single-level scheduling arena: a set of entities plus the
+// placement geometry and policy they share (sched.Domain, which holds the
+// rules the simulator applies too).
 type domain struct {
-	id        int64
-	adws      bool
-	entities  []*entity
-	offset    int
-	level     int
-	flattened bool
-	closed    atomic.Bool
-}
-
-func (d *domain) physical(logical int) int {
-	n := len(d.entities)
-	p := logical % n
-	if p < 0 {
-		p += n
-	}
-	return p
-}
-
-func (d *domain) logicalOf(physical int) int {
-	n := len(d.entities)
-	l := physical
-	for l < d.offset {
-		l += n
-	}
-	for l >= d.offset+n {
-		l -= n
-	}
-	return l
-}
-
-func (d *domain) fullRange() sched.Range {
-	return sched.FullRange(d.offset, len(d.entities))
+	sched.Domain
+	id       int64
+	entities []*entity
+	closed   atomic.Bool
 }
 
 // mlCache is the per-cache multi-level scheduling state, guarded by
 // Pool.ml.Mutex except where noted.
 type mlCache struct {
-	cache *topology.Cache
-	// leader is the worker currently leading this cache (-1 absent).
-	leader int
-	// tied is the group currently tied here (nil if none).
-	tied *taskGroup
+	// Lead holds the cache, its current leader and whether a group is
+	// tied to it.
+	sched.Lead
 	// entity is this cache's slot in the active domain over its parent's
 	// children (nil while no such domain exists).
 	entity *entity
@@ -167,12 +137,26 @@ type mlCache struct {
 	childDomain *domain
 }
 
-// newEntity builds an entity for domain d, choosing the lock-free deque
-// fast path for conventional work-stealing domains.
-func newEntity(d *domain, idx int, mc *mlCache, workerID int) *entity {
-	e := &entity{dom: d, idx: idx, cache: mc, workerID: workerID}
-	if !d.adws {
-		e.ws = deque.New[task]()
+// newDomain builds a domain with the given geometry; the caller holds
+// p.ml or runs before the workers start. Under multi-level policies the
+// entities act for their caches' leaders, except in flattened domains,
+// where (as under single-level policies) each leaf's worker acts for
+// itself. Conventional work-stealing domains use the lock-free deque fast
+// path.
+//
+//adws:requires(ml)
+func (p *Pool) newDomain(geo sched.Domain) *domain {
+	d := &domain{Domain: geo, id: p.domSeq.Add(1)}
+	for i, c := range geo.Caches {
+		e := &entity{dom: d, idx: i, workerID: c.FirstWorker()}
+		if !geo.ADWS {
+			e.ws = deque.New[task]()
+		}
+		if p.policy.isML() && !geo.Flattened {
+			mc := p.ml.caches[c.Level][c.Index]
+			e.cache, e.workerID, mc.entity = mc, -1, e
+		}
+		d.entities = append(d.entities, e)
 	}
-	return e
+	return d
 }

@@ -91,7 +91,7 @@ func (w *worker) candidates() []*entity {
 		return out
 	}
 	p.ml.Lock()
-	if w.leads != nil && w.leads.entity != nil && w.leads.leader == w.id {
+	if w.leads != nil && w.leads.entity != nil && w.leads.Leader == w.id {
 		ent := w.leads.entity
 		if !ent.dom.closed.Load() {
 			out = append(out, ent)
@@ -104,137 +104,78 @@ func (w *worker) candidates() []*entity {
 // trySteal attempts a bounded number of random steals for entity ent.
 func (w *worker) trySteal(ent *entity, minDepth int) *task {
 	d := ent.dom
-	n := len(d.entities)
-	if n <= 1 {
-		return nil
-	}
 	m := w.pool.metrics
-	if d.adws {
-		anchor := ent.lastGroup.Load()
-		if anchor == nil {
-			return nil // not dominated: no stealing (Fig. 11 line 40)
-		}
-		self := d.logicalOf(ent.idx)
-		sr, ok := sched.CurrentStealRange(anchor, self)
+	if d.ADWS {
+		sp, ok := sched.PlanSteal(&d.Domain, ent.lastGroup.Load(), ent.idx, minDepth, maxStealTries)
 		if !ok {
 			return nil
 		}
-		nv := sr.NumVictims(self)
-		if nv <= 0 {
-			return nil
-		}
-		md := sr.MinDepth
-		if minDepth > md {
-			md = minDepth
-		}
-		// The steal range [Low, High] is inclusive; events carry it
-		// half-open as [Low, High+1).
-		srLo, srHi := float64(sr.Low), float64(sr.High)+1
-		tries := maxStealTries
-		if tries > nv {
-			tries = nv
-		}
-		for a := 0; a < tries; a++ {
+		md := int32(sp.Depth)
+		for a := 0; a < sp.Tries; a++ {
 			w.stats.stealAttempts.Add(1)
 			var probeStart int64
 			if m != nil {
 				probeStart = now()
 			}
-			v := sr.Victim(self, w.rng.Intn(nv))
-			if w.wantEv(trace.EvStealAttempt, int32(md)) {
+			v, vp, ok := sp.Pick(w.rng)
+			if w.wantEv(trace.EvStealAttempt, md) {
 				w.emit(trace.Event{Type: trace.EvStealAttempt, Time: now(),
-					Self: int32(self), Victim: int32(v), Depth: int32(md),
-					RangeLo: srLo, RangeHi: srHi}, int32(md))
+					Self: int32(sp.Self), Victim: int32(v), Depth: md,
+					RangeLo: sp.Lo, RangeHi: sp.Hi}, md)
 			}
-			vp := d.physical(v)
-			if vp == ent.idx {
-				w.noteStealProbe(probeStart)
-				continue
+			var t *task
+			if ok && sp.MigrationStealable(v) {
+				t = d.entities[vp].stealMigration(sp.Depth)
 			}
-			ve := d.entities[vp]
-			if sr.MigrationStealable(v) {
-				if t := ve.stealMigration(md); t != nil {
-					w.noteSteal(t)
-					w.noteStealProbe(probeStart)
-					if w.wantEv(trace.EvStealSuccess, int32(md)) {
-						w.emit(trace.Event{Type: trace.EvStealSuccess, Time: now(),
-							Self: int32(self), Victim: int32(v), Depth: int32(md),
-							Task: t.seq, Job: t.jobID(), RangeLo: srLo, RangeHi: srHi}, int32(md))
-					}
-					rebase(t, self, d)
-					return t
-				}
-			}
-			if sr.PrimaryStealable(v) {
-				if t := ve.stealPrimary(md); t != nil {
-					w.noteSteal(t)
-					w.noteStealProbe(probeStart)
-					if w.wantEv(trace.EvStealSuccess, int32(md)) {
-						w.emit(trace.Event{Type: trace.EvStealSuccess, Time: now(),
-							Self: int32(self), Victim: int32(v), Depth: int32(md),
-							Task: t.seq, Job: t.jobID(), RangeLo: srLo, RangeHi: srHi}, int32(md))
-					}
-					rebase(t, self, d)
-					return t
-				}
+			if ok && t == nil && sp.PrimaryStealable(v) {
+				t = d.entities[vp].stealPrimary(sp.Depth)
 			}
 			w.noteStealProbe(probeStart)
+			if t != nil {
+				w.noteSteal(t)
+				if w.wantEv(trace.EvStealSuccess, md) {
+					w.emit(trace.Event{Type: trace.EvStealSuccess, Time: now(),
+						Self: int32(sp.Self), Victim: int32(v), Depth: md,
+						Task: t.seq, Job: t.jobID(), RangeLo: sp.Lo, RangeHi: sp.Hi}, md)
+				}
+				t.inMigration = false
+				t.rng = d.Rebase(t.rng, sp.Self)
+				return t
+			}
 		}
-		if w.wantEv(trace.EvStealFail, int32(md)) {
+		if w.wantEv(trace.EvStealFail, md) {
 			w.emit(trace.Event{Type: trace.EvStealFail, Time: now(),
-				Self: int32(self), Depth: int32(md), RangeLo: srLo, RangeHi: srHi}, int32(md))
+				Self: int32(sp.Self), Depth: md, RangeLo: sp.Lo, RangeHi: sp.Hi}, md)
 		}
 		return nil
 	}
-	tries := maxStealTries
-	if tries > n-1 {
-		tries = n - 1
-	}
+	n := len(d.entities)
+	tries := min(maxStealTries, n-1)
 	for a := 0; a < tries; a++ {
 		w.stats.stealAttempts.Add(1)
 		var probeStart int64
 		if m != nil {
 			probeStart = now()
 		}
-		v := w.rng.Intn(n - 1)
-		if v >= ent.idx {
-			v++
-		}
+		v := w.rng.Victim(ent.idx, n)
 		if w.wantEv(trace.EvStealAttempt, 0) {
 			w.emit(trace.Event{Type: trace.EvStealAttempt, Time: now(),
 				Self: int32(ent.idx), Victim: int32(v)}, 0)
 		}
-		if t := d.entities[v].stealAny(); t != nil {
+		t := d.entities[v].stealAny()
+		w.noteStealProbe(probeStart)
+		if t != nil {
 			w.noteSteal(t)
-			w.noteStealProbe(probeStart)
 			if w.wantEv(trace.EvStealSuccess, 0) {
 				w.emit(trace.Event{Type: trace.EvStealSuccess, Time: now(),
 					Self: int32(ent.idx), Victim: int32(v), Task: t.seq, Job: t.jobID()}, 0)
 			}
 			return t
 		}
-		w.noteStealProbe(probeStart)
 	}
 	if tries > 0 && w.wantEv(trace.EvStealFail, 0) {
 		w.emit(trace.Event{Type: trace.EvStealFail, Time: now(),
 			Self: int32(ent.idx)}, 0)
 	}
 	return nil
-}
-
-// rebase re-owns a stolen task's range onto the thief (see DESIGN.md on
-// steal semantics).
-func rebase(t *task, thiefLogical int, d *domain) {
-	t.inMigration = false
-	width := t.rng.Width()
-	frac := t.rng.X - float64(t.rng.Owner())
-	newX := float64(thiefLogical) + frac
-	maxX := float64(d.offset+len(d.entities)) - width
-	if newX > maxX {
-		newX = maxX
-	}
-	if newX < float64(d.offset) {
-		newX = float64(d.offset)
-	}
-	t.rng = sched.Range{X: newX, Y: newX + width}
 }

@@ -10,8 +10,12 @@ import (
 // GroupHint carries the programmer hints of the paper's Fig. 2b: the total
 // relative work of the group (w_all) and its working-set size in bytes.
 type GroupHint struct {
-	// Work is the total work hint; zero means unknown (ADWS then assumes
-	// equal work per child).
+	// Work is the total work hint; zero means unknown. Spawn divides the
+	// group's range incrementally, without knowing how many children
+	// follow, so with Work zero ADWS gives the first child the whole range
+	// and every later child an empty slice on the spawning worker: those
+	// children move only by stealing. For the paper's equal split (§6.4),
+	// pass Work = n and hint 1 to each of the n children.
 	Work float64
 	// Size is the working-set size hint in bytes for multi-level
 	// scheduling; zero means unknown (the group is never tied/flattened).
@@ -23,55 +27,35 @@ type GroupHint struct {
 // they must not overlap.
 func (c *Ctx) Group(h GroupHint) *TaskGroup {
 	p := c.pool
-	g := &taskGroup{
-		pool:    p,
-		parent:  c,
-		workAll: h.Work,
-		size:    h.Size,
-	}
+	g := &taskGroup{pool: p, parent: c}
 	g.waiter.Store(-1)
 
 	dom := c.cur.dom
 	rng := c.cur.rng
 	g.ent = c.entityFor(dom, rng)
-	g.fresh = false
 
-	if p.policy.isML() && !dom.flattened {
+	// Without a size hint, or inside a flattened domain, sched.Decide
+	// keeps the group where it is; skip the lock.
+	if p.policy.isML() && h.Size > 0 && !dom.Flattened {
 		if nd, nrng, nent := p.mlDecide(c.w, c.cur, h.Size, g); nd != nil {
 			dom, rng, g.ent = nd, nrng, nent
 			g.fresh = true
 		}
 	}
 	g.dom = dom
-	g.adws = dom.adws
-	g.iExec = dom.logicalOf(g.ent.idx)
+	g.iExec = dom.Logical(g.ent.idx)
 
-	if g.adws {
+	if dom.ADWS {
 		g.splitter = sched.NewSplitter(rng, h.Work)
-		if rng.IsCrossWorker() {
-			parentNode := c.cur.group
-			if g.fresh || parentNode == nil {
-				g.node = sched.NewRootGroup(rng)
-			} else {
-				g.node = parentNode.NewChildGroup(rng)
-			}
-			g.childGroup = g.node
-			g.childDepth = g.node.Depth()
-		} else {
-			g.childGroup = c.cur.group
-			g.childDepth = c.cur.depth
-			if g.fresh {
-				g.childGroup, g.childDepth = nil, 0
-			}
-		}
+		g.node, g.childGroup, g.childDepth = sched.OpenGroup(rng, c.cur.group, c.cur.depth, g.fresh)
 	}
 	return &TaskGroup{g: g}
 }
 
 // entityFor resolves the entity a task executes on behalf of.
 func (c *Ctx) entityFor(dom *domain, rng sched.Range) *entity {
-	if dom.adws {
-		return dom.entities[dom.physical(rng.Owner())]
+	if dom.ADWS {
+		return dom.entities[dom.Owner(rng)]
 	}
 	// WS domains have no ranges; use the task's recorded entity, falling
 	// back to the worker's own slot in worker-level domains.
@@ -94,7 +78,6 @@ func (tg *TaskGroup) Spawn(work float64, fn func(*Ctx)) {
 	if g.waited {
 		panic("runtime: Spawn on a task group that was already waited; open a new group with Ctx.Group")
 	}
-	g.spawned++
 	g.remaining.Add(1)
 	t := &task{fn: fn, pg: g, dom: g.dom, job: g.parent.cur.job,
 		sdepth: g.parent.cur.sdepth + 1}
@@ -102,7 +85,7 @@ func (tg *TaskGroup) Spawn(work float64, fn func(*Ctx)) {
 		t.seq = g.pool.taskSeq.Add(1)
 	}
 
-	if !g.adws {
+	if !g.dom.ADWS {
 		// Conventional help-first WS: push to the spawning entity's deque;
 		// the owner pops LIFO, thieves steal the oldest.
 		t.ent = g.ent
@@ -117,7 +100,7 @@ func (tg *TaskGroup) Spawn(work float64, fn func(*Ctx)) {
 	t.crossWorker = g.node != nil && t.rng.IsCrossWorker()
 	switch sched.Classify(t.rng, g.iExec) {
 	case sched.KindMigrate:
-		ent := g.dom.entities[g.dom.physical(t.rng.Owner())]
+		ent := g.dom.entities[g.dom.Owner(t.rng)]
 		t.ent = ent
 		t.inMigration = true
 		if w := g.parent.w; w.wantEv(trace.EvMigration, t.sdepth) {

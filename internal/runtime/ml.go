@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"github.com/parlab/adws/internal/sched"
-	"github.com/parlab/adws/internal/topology"
 	"github.com/parlab/adws/internal/trace"
 )
 
@@ -21,146 +20,82 @@ func (p *Pool) traceBoundary(w *worker, kind int32, d *domain, level int) {
 }
 
 // initTopology builds the root domain and, for multi-level policies, the
-// per-cache state with the initial bottom-up leader election (§4.2). It
-// runs before the workers start, so the ml structures are still private.
+// per-cache state with the initial leader election (§4.2). It runs before
+// the workers start, so the ml structures are still private.
 //
 //adws:requires(ml)
 func (p *Pool) initTopology() {
-	adws := p.policy.isADWS()
 	m := p.machine
-
-	p.ml.caches = make([][]*mlCache, m.NumLevels())
-	for level := 1; level < m.NumLevels(); level++ {
-		row := m.LevelCaches(level)
-		p.ml.caches[level] = make([]*mlCache, len(row))
-		for i, c := range row {
-			p.ml.caches[level][i] = &mlCache{cache: c, leader: -1}
-		}
-	}
-
+	adws := p.policy.isADWS()
 	if !p.policy.isML() {
-		d := p.newDomain(adws, 0)
-		d.level = m.MaxLevel()
-		for w := 0; w < m.NumWorkers(); w++ {
-			d.entities = append(d.entities, newEntity(d, w, nil, w))
-		}
-		p.rootDom = d
+		p.rootDom = p.newDomain(sched.Domain{Caches: m.LevelCaches(m.MaxLevel()), ADWS: adws})
 		return
 	}
-
-	maxLevel := m.MaxLevel()
-	for wid := 0; wid < m.NumWorkers(); wid++ {
-		leaf := p.ml.caches[maxLevel][wid]
-		leaf.leader = wid
-		p.workers[wid].leads = leaf
-	}
-	for level := maxLevel - 1; level >= 1; level-- {
-		for i, c := range m.LevelCaches(level) {
-			first := c.Children()[0]
-			child := p.ml.caches[first.Level][first.Index]
-			wid := child.leader
-			child.leader = -1
-			p.ml.caches[level][i].leader = wid
-			p.workers[wid].leads = p.ml.caches[level][i]
+	p.ml.caches = make([][]*mlCache, m.NumLevels())
+	for level := 1; level < m.NumLevels(); level++ {
+		for _, c := range m.LevelCaches(level) {
+			p.ml.caches[level] = append(p.ml.caches[level], &mlCache{Lead: sched.Lead{Cache: c, Leader: -1}})
 		}
 	}
-	d := p.newDomain(adws, 0)
-	d.level = 1
-	for i, mc := range p.ml.caches[1] {
-		ent := newEntity(d, i, mc, -1)
-		d.entities = append(d.entities, ent)
-		mc.entity = ent
+	for wid, c := range sched.InitialLeads(m) {
+		mc := p.ml.caches[c.Level][c.Index]
+		mc.Leader = wid
+		p.workers[wid].leads = mc
 	}
-	p.rootDom = d
+	p.rootDom = p.newDomain(sched.Domain{Caches: m.LevelCaches(1), ADWS: adws})
 }
 
-func (p *Pool) newDomain(adws bool, offset int) *domain {
-	return &domain{id: p.domSeq.Add(1), adws: adws, offset: offset}
-}
-
-// mlDecide applies the tie/flatten decisions of Fig. 13 + Fig. 15 when a
-// task group with a size hint is created (flatten-first composition; see
-// the simulator twin and DESIGN.md). It returns the new domain, the parent
-// range in it, and the parent's entity in it, or nils to stay.
+// mlDecide applies the multi-level scheduling decisions (sched.Decide) to
+// a task group with working-set size hint size opened by task cur on
+// worker w. It returns the domain the decision opened, the parent range in
+// it, and the parent's entity in it, or nils to stay.
 func (p *Pool) mlDecide(w *worker, cur *task, size int64, g *taskGroup) (*domain, sched.Range, *entity) {
-	if size <= 0 {
-		return nil, sched.Range{}, nil
-	}
 	p.ml.Lock()
 	defer p.ml.Unlock()
-
-	dom := cur.dom
-	// Cache-hierarchy flattening applies to multi-level ADWS only (§5).
-	if dom.adws && dom.level < p.machine.MaxLevel() && len(dom.entities) > 0 && dom.entities[0].cache != nil {
-		lo := cur.rng.Owner()
-		hi := cur.rng.Last() - 1
-		if hi < lo {
-			hi = lo
-		}
-		var cand []*topology.Cache
-		for l := lo; l <= hi && l-lo < len(dom.entities); l++ {
-			cand = append(cand, dom.entities[dom.physical(l)].cache.cache)
-		}
-		lnext, caches := sched.FlattenOverCaches(p.machine, size, dom.level, cand)
-		if caches != nil && lnext == p.machine.MaxLevel() {
-			return p.flattenLocked(w, caches, g)
-		}
+	var d *domain
+	kind, geo, pos := sched.Decide(p.machine, &cur.dom.Domain, cur.rng, size, w.id, &w.leads.Lead)
+	switch kind {
+	case sched.Stay:
+		return nil, sched.Range{}, nil
+	case sched.Flatten:
+		d = p.flattenLocked(w, geo, g)
+	case sched.Tie:
+		d = p.tieLocked(w, geo, pos, g)
 	}
-	c := w.leads
-	if c != nil && c.cache.Level < p.machine.MaxLevel() && c.tied == nil &&
-		size <= c.cache.Capacity && c.leader == w.id {
-		return p.tieLocked(w, c, g)
-	}
-	return nil, sched.Range{}, nil
+	return d, d.Full(), d.entities[pos]
 }
 
-// tieLocked ties g to cache c; the caller holds p.ml.
+// tieLocked ties g to the cache w leads, opening the domain over its
+// children in which w's child cache sits at physical position pos; the
+// caller holds p.ml.
 //
 //adws:requires(ml)
-func (p *Pool) tieLocked(w *worker, c *mlCache, g *taskGroup) (*domain, sched.Range, *entity) {
-	c.tied = g
+func (p *Pool) tieLocked(w *worker, geo sched.Domain, pos int, g *taskGroup) *domain {
+	c := w.leads
+	c.Tied = true
 	g.tiedTo = c
-	children := c.cache.Children()
-	cw := p.machine.CacheOfWorkerAtLevel(w.id, c.cache.Level+1)
-	pos := cw.Index - children[0].Index
-
-	d := p.newDomain(p.policy.isADWS(), pos)
-	d.level = c.cache.Level + 1
-	for i, ch := range children {
-		mc := p.ml.caches[ch.Level][ch.Index]
-		ent := newEntity(d, i, mc, -1)
-		d.entities = append(d.entities, ent)
-		mc.entity = ent
-	}
+	d := p.newDomain(geo)
 	c.childDomain = d
 
-	mcw := p.ml.caches[cw.Level][cw.Index]
-	c.leader = -1
-	mcw.leader = w.id
+	// Leadership descends (Fig. 13 line 56).
+	mcw := d.entities[pos].cache
+	c.Leader = -1
+	mcw.Leader = w.id
 	w.leads = mcw
 
-	p.traceBoundary(w, trace.BoundaryTie, d, c.cache.Level)
-	return d, d.fullRange(), d.entities[pos]
+	p.traceBoundary(w, trace.BoundaryTie, d, c.Cache.Level)
+	return d
 }
 
-// flattenLocked creates a flattened worker-level domain over leaf caches;
-// the caller holds p.ml.
-func (p *Pool) flattenLocked(w *worker, caches []*topology.Cache, g *taskGroup) (*domain, sched.Range, *entity) {
-	d := p.newDomain(p.policy.isADWS(), 0)
-	d.level = p.machine.MaxLevel()
-	d.flattened = true
-	pos := 0
-	for i, ch := range caches {
-		wid := ch.FirstWorker()
-		d.entities = append(d.entities, newEntity(d, i, nil, wid))
-		if wid == w.id {
-			pos = i
-		}
-	}
-	d.offset = pos
+// flattenLocked opens a flattened worker-level domain; the caller holds
+// p.ml.
+//
+//adws:requires(ml)
+func (p *Pool) flattenLocked(w *worker, geo sched.Domain, g *taskGroup) *domain {
+	d := p.newDomain(geo)
 	g.flattened = d
 	// Publish only after the domain is fully constructed: workers read
-	// d.entities/d.offset without holding p.ml once an entity appears in
+	// d.entities/d.Offset without holding p.ml once an entity appears in
 	// their fdEnts (the per-worker fdMu gives the happens-before edge).
 	for _, ent := range d.entities {
 		ww := p.workers[ent.workerID]
@@ -177,8 +112,8 @@ func (p *Pool) flattenLocked(w *worker, caches []*topology.Cache, g *taskGroup) 
 			}
 		}
 	}
-	p.traceBoundary(w, trace.BoundaryFlatten, d, d.level)
-	return d, d.fullRange(), d.entities[pos]
+	p.traceBoundary(w, trace.BoundaryFlatten, d, d.Level())
+	return d
 }
 
 // groupTeardown undoes a tie or flattening when the group's Wait completes
@@ -189,21 +124,21 @@ func (p *Pool) groupTeardown(g *taskGroup, w *worker) {
 	defer p.ml.Unlock()
 	if c := g.tiedTo; c != nil {
 		g.tiedTo = nil
-		c.tied = nil
+		c.Tied = false
 		if c.childDomain != nil {
-			p.traceBoundary(w, trace.BoundaryUntie, c.childDomain, c.cache.Level)
+			p.traceBoundary(w, trace.BoundaryUntie, c.childDomain, c.Cache.Level)
 			c.childDomain.closed.Store(true)
 			c.childDomain = nil
 		}
-		if w.leads != nil && w.leads != c {
-			w.leads.leader = -1
+		if w.leads != c {
+			w.leads.Leader = -1
 		}
-		c.leader = w.id
+		c.Leader = w.id
 		w.leads = c
 	}
 	if d := g.flattened; d != nil {
 		g.flattened = nil
-		p.traceBoundary(w, trace.BoundaryUnflatten, d, d.level)
+		p.traceBoundary(w, trace.BoundaryUnflatten, d, d.Level())
 		d.closed.Store(true)
 		// Participants drop their entities lazily in candidates().
 	}

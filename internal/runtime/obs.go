@@ -35,9 +35,9 @@ func (p *Pool) SchedSnapshot() obs.SchedSnapshot {
 		}
 		if ent := p.snapshotEntity(w); ent != nil {
 			ws.QueueLen = ent.queueLen()
-			if ent.dom.adws {
+			if ent.dom.ADWS {
 				if anchor := ent.lastGroup.Load(); anchor != nil {
-					self := ent.dom.logicalOf(ent.idx)
+					self := ent.dom.Logical(ent.idx)
 					if sr, ok := sched.CurrentStealRange(anchor, self); ok {
 						// The inclusive [Low, High] becomes half-open
 						// [Low, High+1), matching steal events.

@@ -177,7 +177,7 @@ func (p *Pool) wakeFor(e *entity, j *RootJob) {
 	// It is busy: wake a thief whose steal range can reach the task —
 	// a member of the flattened domain, or (at the root level) a worker
 	// inside the job's submitted range.
-	if e.dom.flattened {
+	if e.dom.Flattened {
 		for _, sib := range e.dom.entities {
 			if sib.workerID != e.workerID && p.tryWake(p.workers[sib.workerID]) {
 				return

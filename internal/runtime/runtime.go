@@ -255,9 +255,6 @@ func (t *task) jobID() int64 {
 type taskGroup struct {
 	pool   *Pool
 	parent *Ctx
-	// hints
-	workAll float64
-	size    int64
 	// node is the cross-worker group tree node (nil for non-cross groups
 	// or WS domains).
 	node *sched.GroupNode
@@ -279,14 +276,11 @@ type taskGroup struct {
 	// waiter is the worker id parked in this group's Wait (-1 none): the
 	// last child's completion wakes exactly that worker (park.go).
 	waiter atomic.Int32
-	// spawned counts Spawn calls (diagnostics).
-	spawned int
 	// tiedTo / flattened mirror the multi-level state.
 	tiedTo    *mlCache
 	flattened *domain
 	// fresh marks groups that opened a new domain.
 	fresh bool
-	adws  bool
 	// waited is set once Wait runs; further Spawn/Wait calls panic.
 	waited bool
 }
@@ -411,15 +405,15 @@ func (p *Pool) SubmitRoot(fn func(*Ctx), lo, hi float64) (*RootJob, error) {
 		return nil, fmt.Errorf("%w: [%v, %v)", ErrBadRange, lo, hi)
 	}
 	d := p.rootDom
-	n := float64(len(d.entities))
-	off := float64(d.offset)
+	n := float64(d.N())
+	off := float64(d.Offset)
 	rng := sched.Range{X: off + lo*n, Y: off + hi*n}
 	// Keep the owner inside the domain even when lo rounds up to 1.
 	if rng.X > off+n-1 {
 		rng.X = off + n - 1
 	}
 	j := &RootJob{id: p.jobSeq.Add(1), rng: rng, done: make(chan struct{})}
-	owner := d.entities[d.physical(rng.Owner())]
+	owner := d.entities[d.Owner(rng)]
 	root := &task{
 		fn: func(c *Ctx) {
 			fn(c)

@@ -208,18 +208,32 @@ func TestManyChildrenFlatGroup(t *testing.T) {
 }
 
 func TestZeroWorkHints(t *testing.T) {
-	// All-zero hints fall back to equal splitting and must not hang.
+	// Spawn divides the range incrementally, without the child count, so
+	// with no work hint the first child gets the whole range and the rest
+	// an empty slice on the spawning worker: nothing migrates, the children
+	// spread only by stealing, and the run must not hang. Work = n with
+	// hint 1 per child is the even split: every child but the owner's
+	// migrates.
 	p := newTestPool(t, ADWS)
-	var count int64
-	p.Run(func(c *Ctx) {
-		g := c.Group(GroupHint{})
-		for i := 0; i < 16; i++ {
-			g.Spawn(0, func(c *Ctx) { atomic.AddInt64(&count, 1) })
+	for _, tc := range []struct {
+		work, hint float64
+		migrations int64
+	}{{0, 0, 0}, {16, 1, 15}} {
+		before := p.Stats().Migrations
+		var count int64
+		p.Run(func(c *Ctx) {
+			g := c.Group(GroupHint{Work: tc.work})
+			for i := 0; i < 16; i++ {
+				g.Spawn(tc.hint, func(c *Ctx) { atomic.AddInt64(&count, 1) })
+			}
+			g.Wait()
+		})
+		if count != 16 {
+			t.Errorf("Work %v: count = %d, want 16", tc.work, count)
 		}
-		g.Wait()
-	})
-	if count != 16 {
-		t.Errorf("count = %d, want 16", count)
+		if got := p.Stats().Migrations - before; got != tc.migrations {
+			t.Errorf("Work %v: %d migrations, want %d", tc.work, got, tc.migrations)
+		}
 	}
 }
 

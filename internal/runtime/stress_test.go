@@ -107,19 +107,19 @@ func TestMLLeadershipInvariants(t *testing.T) {
 		seen := map[int]int{}
 		for level := 1; level < len(p.ml.caches); level++ {
 			for _, mc := range p.ml.caches[level] {
-				if mc.tied != nil {
-					t.Errorf("%v: %v still has a tied group", pol, mc.cache)
+				if mc.Tied {
+					t.Errorf("%v: %v still has a tied group", pol, mc.Cache)
 				}
 				if mc.childDomain != nil {
-					t.Errorf("%v: %v still has a child domain", pol, mc.cache)
+					t.Errorf("%v: %v still has a child domain", pol, mc.Cache)
 				}
-				if mc.leader >= 0 {
-					seen[mc.leader]++
-					if p.workers[mc.leader].leads != mc {
-						t.Errorf("%v: leader of %v does not point back", pol, mc.cache)
+				if mc.Leader >= 0 {
+					seen[mc.Leader]++
+					if p.workers[mc.Leader].leads != mc {
+						t.Errorf("%v: leader of %v does not point back", pol, mc.Cache)
 					}
-					if !mc.cache.ContainsWorker(mc.leader) {
-						t.Errorf("%v: %v led by worker %d outside it", pol, mc.cache, mc.leader)
+					if !mc.Cache.ContainsWorker(mc.Leader) {
+						t.Errorf("%v: %v led by worker %d outside it", pol, mc.Cache, mc.Leader)
 					}
 				}
 			}

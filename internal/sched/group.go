@@ -40,6 +40,27 @@ func (g *GroupNode) NewChildGroup(r Range) *GroupNode {
 	return &GroupNode{parent: g, rng: r, depth: g.depth + 1}
 }
 
+// OpenGroup applies the group-tree rules (paper Fig. 10) to a task group
+// with range r opened by a task whose group anchor and depth are parent
+// and depth. fresh reports that the group opened a new domain (a tie or a
+// flattening): its children then start a new tree at depth 0. It returns
+// the group's node, which exists only when r is cross-worker, and the
+// anchor and depth the group's children inherit.
+func OpenGroup(r Range, parent *GroupNode, depth int, fresh bool) (node, childGroup *GroupNode, childDepth int) {
+	if fresh {
+		parent, depth = nil, 0
+	}
+	if !r.IsCrossWorker() {
+		return nil, parent, depth
+	}
+	if parent == nil {
+		node = NewRootGroup(r)
+	} else {
+		node = parent.NewChildGroup(r)
+	}
+	return node, node, node.Depth()
+}
+
 // Parent returns the enclosing cross-worker task group, or nil at the root.
 func (g *GroupNode) Parent() *GroupNode { return g.parent }
 

@@ -1,13 +1,14 @@
 // Package sched implements the pure scheduling mathematics of almost
 // deterministic work stealing (ADWS): distribution ranges, deterministic
 // task mapping, the cross-worker task-group tree with dominant-group steal
-// ranges, depth-indexed primary/migration queues, and the multi-level
-// scheduling state machine (leader election, tie-to-cache, cache-hierarchy
-// flattening).
+// ranges and steal plans, depth-indexed primary/migration queues, domain
+// geometry (cyclic indexing, steal rebase), and the multi-level decisions
+// (leader election, tie-to-cache, cache-hierarchy flattening).
 //
-// The package is substrate-agnostic and lock-free by design: the real
-// runtime (internal/runtime) wraps these types with synchronization, and
-// the discrete-event simulator (internal/sim) uses them directly in virtual
+// The package is substrate-agnostic and lock-free by design: every
+// placement rule has its one implementation here. The real runtime
+// (internal/runtime) wraps these types with synchronization, and the
+// discrete-event simulator (internal/sim) uses them directly in virtual
 // time. Entity indices are abstract: in a single-level scheduler they are
 // worker IDs; in a multi-level scheduler each ADWS instance runs over the
 // child caches of one cache, and the indices are (logically unwrapped)
@@ -124,8 +125,9 @@ type Splitter struct {
 
 // NewSplitter prepares to divide range r among children whose work hints
 // sum to totalWork. A non-positive totalWork is treated as unknown: every
-// child hint is then also ignored and NextChild must be told the remaining
-// child count instead (see NextChildEqual).
+// child hint is then ignored, the first child receives the whole range and
+// every later child an empty range at X. An incremental splitter cannot
+// split evenly without the child count; SplitEqual can.
 func NewSplitter(r Range, totalWork float64) *Splitter {
 	if totalWork < 0 || math.IsNaN(totalWork) || math.IsInf(totalWork, 0) {
 		totalWork = 0
@@ -136,17 +138,16 @@ func NewSplitter(r Range, totalWork float64) *Splitter {
 // NextChild returns the range for the next child task, given its work hint.
 // The final child's range is clamped to end exactly at the group range's X
 // when the hints consume the whole total; callers that cannot guarantee
-// hints sum to totalWork should call Close and use the remainder check in
-// tests. Non-positive hints receive an empty slice at the current cursor
-// (the paper's hints are relative amounts of work; zero work means no
-// entities need to be reserved).
+// hints sum to totalWork can check Remaining. Non-positive hints receive an
+// empty slice at the current cursor (the paper's hints are relative
+// amounts of work; zero work means no entities need to be reserved).
 func (s *Splitter) NextChild(hint float64) Range {
 	if hint < 0 || math.IsNaN(hint) || math.IsInf(hint, 0) {
 		hint = 0
 	}
 	if s.totalWork <= 0 {
-		// Unknown total: behave like an even split over one child (callers
-		// use SplitEqual / NextChildEqual instead; this is a safe fallback).
+		// Unknown total: the first child takes the whole range, later
+		// children an empty range at X.
 		r := Range{X: s.r.X, Y: s.cursor}
 		s.cursor = s.r.X
 		return r

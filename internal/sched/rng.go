@@ -38,3 +38,13 @@ func (r *RNG) Intn(n int) int {
 func (r *RNG) Float64() float64 {
 	return float64(r.Next()>>11) / float64(1<<53)
 }
+
+// Victim draws a victim uniformly from the n entities other than self:
+// the victim choice of conventional random work stealing.
+func (r *RNG) Victim(self, n int) int {
+	v := r.Intn(n - 1)
+	if v >= self {
+		v++
+	}
+	return v
+}

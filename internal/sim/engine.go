@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"github.com/parlab/adws/internal/sched"
@@ -81,29 +80,6 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-type event struct {
-	t float64
-	// gseq is a global sequence number for deterministic tie-breaking.
-	gseq int64
-	// wseq is the owning worker's eventSeq at scheduling time; a mismatch
-	// at pop time means the event was superseded.
-	wseq int64
-	w    int
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].gseq < h[j].gseq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-
 type worker struct {
 	id  int
 	rng *sched.RNG
@@ -111,8 +87,9 @@ type worker struct {
 	current *Task
 	resume  []*Task // LIFO resume stack (returned continuations)
 
-	// Event bookkeeping: each worker has at most one live event; eventSeq
-	// invalidates superseded ones.
+	// Event slot: each worker has at most one pending event, at eventTime;
+	// eventSeq is the global schedule order, which breaks ties between
+	// workers deterministically. Rescheduling overwrites the slot.
 	eventSeq  int64
 	eventTime float64
 	hasEvent  bool
@@ -145,7 +122,6 @@ type Engine struct {
 	hier    *Hierarchy
 
 	workers []*worker
-	events  eventHeap
 	evSeq   int64
 	now     float64
 
@@ -164,8 +140,7 @@ type Engine struct {
 	finalTime   float64
 	runStartSeq int64
 
-	// domainDormant counts, per domain id, how many acting workers are
-	// idle, to skip wake scans.
+	// ties and flattens count the run's multi-level decisions.
 	ties, flattens int64
 }
 
@@ -204,7 +179,6 @@ func NewEngine(cfg Config) *Engine {
 	for i := 0; i < p; i++ {
 		e.workers[i] = &worker{id: i, rng: sched.NewRNG(cfg.Seed, i)}
 	}
-	e.buildMLCaches()
 	if cfg.Mode == SB {
 		e.initSB()
 	}
@@ -218,83 +192,75 @@ func (e *Engine) Memory() *Memory { return e.mem }
 // Hierarchy exposes the simulated caches (tests and profiling).
 func (e *Engine) Hierarchy() *Hierarchy { return e.hier }
 
-func (e *Engine) buildMLCaches() {
-	e.mlCaches = make([][]*mlCache, e.machine.NumLevels())
-	for level := 1; level < e.machine.NumLevels(); level++ {
-		row := e.machine.LevelCaches(level)
-		e.mlCaches[level] = make([]*mlCache, len(row))
-		for i, c := range row {
-			e.mlCaches[level][i] = &mlCache{cache: c, leader: -1}
-		}
-	}
-}
-
 // initDomains sets up the root scheduling domain and, for multi-level
-// modes, the initial bottom-up leader election (§4.2).
+// modes, the per-cache state with the initial leader election (§4.2). SB
+// uses per-worker deques and per-cache anchors instead of domains.
 func (e *Engine) initDomains() {
+	m := e.machine
 	adws := e.cfg.Mode.IsADWS()
 	switch {
 	case e.cfg.Mode == SB:
-		// SB uses per-worker deques and per-cache anchors, no domains.
 	case e.cfg.Mode.IsMultiLevel():
-		// Leaders: every worker leads its leaf, then first-child leaders
-		// are promoted level by level.
-		maxLevel := e.machine.MaxLevel()
-		for w := 0; w < e.machine.NumWorkers(); w++ {
-			leaf := e.mlCaches[maxLevel][w]
-			leaf.leader = w
-			e.workers[w].leads = leaf
-		}
-		for level := maxLevel - 1; level >= 1; level-- {
-			for i, c := range e.machine.LevelCaches(level) {
-				// Promote the leader of the first child.
-				first := c.Children()[0]
-				child := e.mlCaches[first.Level][first.Index]
-				w := child.leader
-				child.leader = -1
-				e.mlCaches[level][i].leader = w
-				e.workers[w].leads = e.mlCaches[level][i]
+		e.mlCaches = make([][]*mlCache, m.NumLevels())
+		for level := 1; level < m.NumLevels(); level++ {
+			for _, c := range m.LevelCaches(level) {
+				e.mlCaches[level] = append(e.mlCaches[level], &mlCache{Lead: sched.Lead{Cache: c, Leader: -1}})
 			}
 		}
-		// Root domain over the level-1 caches.
-		d := e.newDomain(adws, 0)
-		row := e.mlCaches[1]
-		for i, mc := range row {
-			ent := &entity{dom: d, idx: i, cache: mc, worker: -1}
-			d.entities = append(d.entities, ent)
-			mc.entity = ent
+		for w, c := range sched.InitialLeads(m) {
+			mc := e.mlCaches[c.Level][c.Index]
+			mc.Leader = w
+			e.workers[w].leads = mc
 		}
-		d.level = 1
-		e.rootDom = d
+		e.rootDom = e.newDomain(sched.Domain{Caches: m.LevelCaches(1), ADWS: adws})
 	default:
-		// Single-level: one worker-level domain over all workers.
-		d := e.newDomain(adws, 0)
-		for w := 0; w < e.machine.NumWorkers(); w++ {
-			d.entities = append(d.entities, &entity{dom: d, idx: w, worker: w})
-		}
-		d.level = e.machine.MaxLevel()
-		e.rootDom = d
+		e.rootDom = e.newDomain(sched.Domain{Caches: m.LevelCaches(m.MaxLevel()), ADWS: adws})
 	}
 }
 
-func (e *Engine) newDomain(adws bool, offset int) *domain {
+// newDomain builds a domain with the given geometry. Under multi-level
+// scheduling its entities act for their caches' leaders, except in
+// flattened domains, where (as in single-level scheduling) each leaf's
+// worker acts for itself.
+func (e *Engine) newDomain(geo sched.Domain) *domain {
 	e.domSeq++
-	return &domain{id: e.domSeq, adws: adws, offset: offset}
+	d := &domain{Domain: geo, id: e.domSeq}
+	for i, c := range geo.Caches {
+		ent := &entity{dom: d, idx: i, worker: c.FirstWorker()}
+		if e.cfg.Mode.IsMultiLevel() && !geo.Flattened {
+			mc := e.mlCaches[c.Level][c.Index]
+			ent.cache, ent.worker, mc.entity = mc, -1, ent
+		}
+		d.entities = append(d.entities, ent)
+	}
+	return d
 }
 
-func (e *Engine) newTask(body Body, work float64) *Task {
+func (e *Engine) newTask(body Body) *Task {
 	e.taskSeq++
-	return &Task{id: e.taskSeq, body: body, workHint: work, execWorker: -1}
+	return &Task{id: e.taskSeq, body: body, execWorker: -1}
 }
 
-// schedule (re)schedules worker w's next event at time t, superseding any
-// previously scheduled event.
+// schedule (re)schedules worker w's next event at time t, replacing any
+// previously scheduled one.
 func (e *Engine) schedule(w *worker, t float64) {
-	w.eventSeq++
+	e.evSeq++
+	w.eventSeq = e.evSeq
 	w.eventTime = t
 	w.hasEvent = true
-	e.evSeq++
-	heap.Push(&e.events, event{t: t, gseq: e.evSeq, wseq: w.eventSeq, w: w.id})
+}
+
+// next returns the worker with the earliest pending event, ties broken by
+// schedule order, or nil when no event is pending.
+func (e *Engine) next() *worker {
+	var nw *worker
+	for _, w := range e.workers {
+		if w.hasEvent && (nw == nil || w.eventTime < nw.eventTime ||
+			w.eventTime == nw.eventTime && w.eventSeq < nw.eventSeq) {
+			nw = w
+		}
+	}
+	return nw
 }
 
 // wake brings an idle worker's pending poll forward to time t.
@@ -314,14 +280,14 @@ func (e *Engine) Run(root Body) RunResult {
 	e.resetProfile()
 	start := e.now
 	e.done = false
-	e.rootTask = e.newTask(root, 1)
+	e.rootTask = e.newTask(root)
 	// Seed the root task on entity 0 of the root domain (SB: worker 0).
 	if e.cfg.Mode == SB {
 		e.seedSBRoot(e.rootTask)
 	} else {
 		ent := e.rootDom.entities[0]
 		e.rootTask.dom = e.rootDom
-		e.rootTask.rng = e.rootDom.fullRange()
+		e.rootTask.rng = e.rootDom.Full()
 		ent.queues.PushPrimary(0, e.rootTask)
 		aw := ent.actingWorker()
 		if aw < 0 {
@@ -330,14 +296,9 @@ func (e *Engine) Run(root Body) RunResult {
 		e.wake(e.workers[aw], e.now)
 	}
 
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(event)
-		w := e.workers[ev.w]
-		if !w.hasEvent || ev.wseq != w.eventSeq {
-			continue // superseded
-		}
+	for w := e.next(); w != nil; w = e.next() {
 		w.hasEvent = false
-		e.now = ev.t
+		e.now = w.eventTime
 		if e.done {
 			continue
 		}
@@ -411,7 +372,6 @@ func (e *Engine) step(w *worker) {
 
 // complete finishes task t on worker w and propagates group completion.
 func (e *Engine) complete(w *worker, t *Task) {
-	t.state = taskDone
 	w.current = nil
 	w.tasksRun++
 	if tr := e.cfg.Tracer; tr != nil {
@@ -452,8 +412,6 @@ func (e *Engine) groupComplete(ag *activeGroup) {
 		e.unflatten(ag)
 	}
 	p := ag.parent
-	p.state = taskReady
-	p.waitingOn = nil
 	ow := e.workers[p.execWorker]
 	if tr := e.cfg.Tracer; tr != nil {
 		tr.Record(ow.id, trace.Event{Type: trace.EvWaitExit, Time: e.vt(),

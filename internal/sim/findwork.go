@@ -5,7 +5,8 @@ import (
 	"github.com/parlab/adws/internal/trace"
 )
 
-// maxBackoffPolls bounds the exponential idle backoff to IdlePoll << 6.
+// maxBackoffFactor bounds the exponential idle backoff to
+// IdlePoll * maxBackoffFactor.
 const maxBackoffFactor = 8
 
 // findWork is the scheduler loop body of an idle worker (paper Fig. 11,
@@ -82,91 +83,58 @@ func (e *Engine) candidates(w *worker) []*entity {
 // WS domains steal uniformly at random.
 func (e *Engine) trySteal(w *worker, ent *entity, searched *float64) (*Task, bool) {
 	d := ent.dom
-	n := len(d.entities)
-	if n <= 1 {
-		return nil, false
-	}
 	tr := e.cfg.Tracer
-	if d.adws {
-		anchor := ent.lastGroup
-		if anchor == nil {
-			// Not dominated by any task group: do not steal (Fig. 11 line
-			// 40), so deterministically migrated tasks are not stolen too
-			// soon.
-			return nil, false
-		}
-		self := d.logicalOf(ent.idx)
-		sr, ok := sched.CurrentStealRange(anchor, self)
+	if d.ADWS {
+		sp, ok := sched.PlanSteal(&d.Domain, ent.lastGroup, ent.idx, 0, e.cfg.MaxStealTries)
 		if !ok {
 			return nil, false
 		}
-		nv := sr.NumVictims(self)
-		if nv <= 0 {
-			return nil, false
-		}
-		// Events carry the inclusive steal range [Low, High] half-open.
-		srLo, srHi := float64(sr.Low), float64(sr.High)+1
-		tries := e.cfg.MaxStealTries
-		if tries > nv {
-			tries = nv
-		}
-		for a := 0; a < tries; a++ {
+		for a := 0; a < sp.Tries; a++ {
 			*searched += e.costs.StealAttempt
 			w.stealAttempts++
-			v := sr.Victim(self, w.rng.Intn(nv))
+			v, vp, ok := sp.Pick(w.rng)
 			if tr != nil {
 				tr.Record(w.id, trace.Event{Type: trace.EvStealAttempt, Time: e.vt(),
-					Self: int32(self), Victim: int32(v), Depth: int32(sr.MinDepth),
-					RangeLo: srLo, RangeHi: srHi})
+					Self: int32(sp.Self), Victim: int32(v), Depth: int32(sp.Depth),
+					RangeLo: sp.Lo, RangeHi: sp.Hi})
 			}
-			vp := d.physical(v)
-			if vp == ent.idx {
-				continue // cyclic wrap collided with ourselves
+			if !ok {
+				continue
 			}
-			ve := d.entities[vp]
-			if sr.MigrationStealable(v) {
-				if t, ok := ve.queues.StealMigration(sr.MinDepth); ok {
-					w.steals++
-					if tr != nil {
-						tr.Record(w.id, trace.Event{Type: trace.EvStealSuccess, Time: e.vt(),
-							Self: int32(self), Victim: int32(v), Depth: int32(sr.MinDepth),
-							Task: e.ordinal(t), RangeLo: srLo, RangeHi: srHi})
-					}
-					e.rebase(t, self, d)
-					return t, true
+			q := &d.entities[vp].queues
+			var t *Task
+			got := false
+			if sp.MigrationStealable(v) {
+				t, got = q.StealMigration(sp.Depth)
+			}
+			if !got && sp.PrimaryStealable(v) {
+				t, got = q.StealPrimary(sp.Depth)
+			}
+			if got {
+				w.steals++
+				if tr != nil {
+					tr.Record(w.id, trace.Event{Type: trace.EvStealSuccess, Time: e.vt(),
+						Self: int32(sp.Self), Victim: int32(v), Depth: int32(sp.Depth),
+						Task: e.ordinal(t), RangeLo: sp.Lo, RangeHi: sp.Hi})
 				}
-			}
-			if sr.PrimaryStealable(v) {
-				if t, ok := ve.queues.StealPrimary(sr.MinDepth); ok {
-					w.steals++
-					if tr != nil {
-						tr.Record(w.id, trace.Event{Type: trace.EvStealSuccess, Time: e.vt(),
-							Self: int32(self), Victim: int32(v), Depth: int32(sr.MinDepth),
-							Task: e.ordinal(t), RangeLo: srLo, RangeHi: srHi})
-					}
-					e.rebase(t, self, d)
-					return t, true
-				}
+				t.inMigrationQueue = false
+				t.rng = d.Rebase(t.rng, sp.Self)
+				return t, true
 			}
 		}
 		if tr != nil {
 			tr.Record(w.id, trace.Event{Type: trace.EvStealFail, Time: e.vt(),
-				Self: int32(self), Depth: int32(sr.MinDepth), RangeLo: srLo, RangeHi: srHi})
+				Self: int32(sp.Self), Depth: int32(sp.Depth), RangeLo: sp.Lo, RangeHi: sp.Hi})
 		}
 		return nil, false
 	}
 	// Conventional random work stealing.
-	tries := e.cfg.MaxStealTries
-	if tries > n-1 {
-		tries = n - 1
-	}
+	n := len(d.entities)
+	tries := min(e.cfg.MaxStealTries, n-1)
 	for a := 0; a < tries; a++ {
 		*searched += e.costs.StealAttempt
 		w.stealAttempts++
-		v := w.rng.Intn(n - 1)
-		if v >= ent.idx {
-			v++
-		}
+		v := w.rng.Victim(ent.idx, n)
 		if tr != nil {
 			tr.Record(w.id, trace.Event{Type: trace.EvStealAttempt, Time: e.vt(),
 				Self: int32(ent.idx), Victim: int32(v)})
@@ -187,25 +155,6 @@ func (e *Engine) trySteal(w *worker, ent *entity, searched *float64) (*Task, boo
 	return nil, false
 }
 
-// rebase re-owns a stolen task's distribution range onto the thief: the
-// range keeps its width but its owner becomes the thief (clamped to the
-// domain), so the stolen subtree unfolds around the thief while staying
-// deterministic below (see DESIGN.md on steal semantics).
-func (e *Engine) rebase(t *Task, thiefLogical int, d *domain) {
-	t.inMigrationQueue = false
-	width := t.rng.Width()
-	frac := t.rng.X - float64(t.rng.Owner())
-	newX := float64(thiefLogical) + frac
-	maxX := float64(d.offset+len(d.entities)) - width
-	if newX > maxX {
-		newX = maxX
-	}
-	if newX < float64(d.offset) {
-		newX = float64(d.offset)
-	}
-	t.rng = sched.Range{X: newX, Y: newX + width}
-}
-
 // startTask begins executing task t on worker w, charging `searched` time
 // as idle-search cost and `oh` as scheduling overhead.
 func (e *Engine) startTask(w *worker, t *Task, ent *entity, searched, oh float64) {
@@ -218,7 +167,6 @@ func (e *Engine) startTask(w *worker, t *Task, ent *entity, searched, oh float64
 		w.idleTime += searched
 	}
 	w.overheadTime += oh
-	t.state = taskRunning
 	t.execWorker = w.id
 	if ent != nil {
 		t.ent = ent

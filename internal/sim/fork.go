@@ -2,7 +2,6 @@ package sim
 
 import (
 	"github.com/parlab/adws/internal/sched"
-	"github.com/parlab/adws/internal/topology"
 	"github.com/parlab/adws/internal/trace"
 )
 
@@ -34,41 +33,30 @@ func (e *Engine) fork(w *worker, t *Task, spec *GroupSpec) {
 	}
 
 	ag := &activeGroup{spec: spec, parent: t, remaining: len(spec.Children)}
-	dom := t.dom
-	parentRange := t.rng
-	parentEnt := t.ent
+	dom, parentRange, parentEnt := t.dom, t.rng, t.ent
 	fresh := false
 	var oh float64
 
-	if e.cfg.Mode.IsMultiLevel() && !dom.flattened {
-		if nd, rng, ent, kind := e.mlDecide(w, t, spec, ag); nd != nil {
-			dom, parentRange, parentEnt, fresh = nd, rng, ent, true
+	if e.cfg.Mode.IsMultiLevel() {
+		if nd, pos := e.mlDecide(w, t, spec.Size, ag); nd != nil {
+			dom, parentRange, parentEnt, fresh = nd, nd.Full(), nd.entities[pos], true
 			oh += e.costs.TieOverhead
-			if kind == mlTied {
-				e.ties++
-			} else {
-				e.flattens++
-			}
 		}
 	}
 
 	var inline *Task
-	if dom.adws {
+	if dom.ADWS {
 		inline = e.spawnADWS(w, t, ag, dom, parentRange, parentEnt, fresh, &oh)
 	} else {
-		inline = e.spawnWS(w, t, ag, dom, parentEnt, &oh)
+		inline = e.spawnWS(ag, dom, parentEnt, &oh)
 	}
 
-	t.state = taskWaiting
-	t.waitingOn = ag
-	ag.dom = dom
 	w.overheadTime += oh
 	if tr := e.cfg.Tracer; tr != nil {
 		tr.Record(w.id, trace.Event{Type: trace.EvWaitEnter, Time: e.vt(),
 			Task: e.ordinal(t), Depth: int32(t.depth)})
 	}
 	if inline != nil {
-		inline.state = taskRunning
 		inline.execWorker = w.id
 		w.current = inline
 		if inline.group != nil && inline.ent != nil {
@@ -86,25 +74,9 @@ func (e *Engine) fork(w *worker, t *Task, spec *GroupSpec) {
 // children locally, and return the type-(2) child for immediate execution.
 func (e *Engine) spawnADWS(w *worker, t *Task, ag *activeGroup, dom *domain, parentRange sched.Range, parentEnt *entity, fresh bool, oh *float64) *Task {
 	spec := ag.spec
-	iExec := dom.logicalOf(parentEnt.idx)
-
-	crossGroup := parentRange.IsCrossWorker()
-	childGroup := t.group
-	childDepth := t.depth
-	if fresh {
-		childGroup, childDepth = nil, 0
-	}
-	if crossGroup {
-		var node *sched.GroupNode
-		if fresh || childGroup == nil {
-			node = sched.NewRootGroup(parentRange)
-		} else {
-			node = childGroup.NewChildGroup(parentRange)
-		}
-		ag.node = node
-		childGroup = node
-		childDepth = node.Depth()
-	}
+	iExec := dom.Logical(parentEnt.idx)
+	node, childGroup, childDepth := sched.OpenGroup(parentRange, t.group, t.depth, fresh)
+	ag.node = node
 
 	var ranges []sched.Range
 	if e.cfg.IgnoreWorkHints || spec.Work <= 0 {
@@ -119,18 +91,17 @@ func (e *Engine) spawnADWS(w *worker, t *Task, ag *activeGroup, dom *domain, par
 
 	var inline *Task
 	for k, cs := range spec.Children {
-		child := e.newTask(cs.Body, cs.Work)
+		child := e.newTask(cs.Body)
 		child.dom = dom
 		child.rng = ranges[k]
 		child.group = childGroup
 		child.depth = childDepth
 		child.parentGroup = ag
-		child.crossWorker = crossGroup && ranges[k].IsCrossWorker()
-		child.sbSize = cs.Size
+		child.crossWorker = node != nil && ranges[k].IsCrossWorker()
 		*oh += e.costs.SpawnOverhead
 		switch sched.Classify(ranges[k], iExec) {
 		case sched.KindMigrate:
-			ent := dom.entities[dom.physical(ranges[k].Owner())]
+			ent := dom.entities[dom.Owner(ranges[k])]
 			child.ent = ent
 			child.inMigrationQueue = true
 			if tr := e.cfg.Tracer; tr != nil {
@@ -165,118 +136,57 @@ func (e *Engine) spawnADWS(w *worker, t *Task, ag *activeGroup, dom *domain, par
 // first child is executed immediately and the rest are pushed onto the
 // spawning entity's deque so that the owner pops them in declaration order
 // while thieves steal the oldest.
-func (e *Engine) spawnWS(w *worker, t *Task, ag *activeGroup, dom *domain, parentEnt *entity, oh *float64) *Task {
+func (e *Engine) spawnWS(ag *activeGroup, dom *domain, parentEnt *entity, oh *float64) *Task {
 	spec := ag.spec
-	var inline *Task
 	tasks := make([]*Task, len(spec.Children))
 	for k, cs := range spec.Children {
-		child := e.newTask(cs.Body, cs.Work)
+		child := e.newTask(cs.Body)
 		child.dom = dom
 		child.parentGroup = ag
 		child.ent = parentEnt
-		child.sbSize = cs.Size
 		tasks[k] = child
 		*oh += e.costs.SpawnOverhead
 	}
-	inline = tasks[0]
 	for k := len(tasks) - 1; k >= 1; k-- {
 		parentEnt.queues.PushPrimary(0, tasks[k])
 	}
-	return inline
+	return tasks[0]
 }
 
-// mlKind distinguishes the two domain-creating multi-level decisions.
-type mlKind int
-
-const (
-	mlTied mlKind = iota
-	mlFlattened
-)
-
-// mlDecide applies the multi-level scheduling decisions for a task group
-// (Fig. 13's EXECUTETASKGROUP composed with Fig. 15's flattening).
-//
-// Cache-hierarchy flattening is checked first (§5: a working set that fits
-// the aggregate capacity of the caches in the group's distribution range
-// is scheduled by a single-level scheduler over their descendants;
-// "otherwise, we continue to schedule TG at the current cache level").
-// When flattening bottoms out at the leaf level, a flattened worker-level
-// domain runs the group. When it stops at an intermediate level (only
-// possible on machines with three or more cache levels), we approximate it
-// by tying the group to the worker's current cache when it fits — which
-// descends exactly one level and lets multi-level scheduling continue
-// below (documented deviation, DESIGN.md). On two-level machines like the
-// paper's, leaf flattening subsumes tying: a group that fits one shared
-// cache and whose range has narrowed to that cache flattens over exactly
-// that cache's workers, which is the tie of Fig. 13.
-//
-// It returns the new domain (nil to stay), the parent's range in it, the
-// parent's entity in it, and which decision was taken.
-func (e *Engine) mlDecide(w *worker, t *Task, spec *GroupSpec, ag *activeGroup) (*domain, sched.Range, *entity, mlKind) {
-	if spec.Size <= 0 {
-		return nil, sched.Range{}, nil, 0
+// mlDecide applies the multi-level scheduling decisions (sched.Decide) to
+// a task group with working-set size hint size opened by task t on worker
+// w. It returns the domain the decision opened and the parent's physical
+// entity in it, or nil to stay.
+func (e *Engine) mlDecide(w *worker, t *Task, size int64, ag *activeGroup) (*domain, int) {
+	switch kind, geo, pos := sched.Decide(e.machine, &t.dom.Domain, t.rng, size, w.id, &w.leads.Lead); kind {
+	case sched.Flatten:
+		e.flattens++
+		return e.flatten(w, geo, ag), pos
+	case sched.Tie:
+		e.ties++
+		return e.tie(w, geo, pos, ag), pos
 	}
-	dom := t.dom
-	// Cache-hierarchy flattening applies to multi-level ADWS only (§5:
-	// flattening other strategies has limited benefit, and WS tasks carry
-	// no distribution range to derive the candidate span from).
-	if dom.adws && dom.level < e.machine.MaxLevel() && len(dom.entities) > 0 && dom.entities[0].cache != nil {
-		lo := t.rng.Owner()
-		hi := t.rng.Last() - 1
-		if hi < lo {
-			hi = lo
-		}
-		var cand []*topology.Cache
-		for l := lo; l <= hi && l-lo < len(dom.entities); l++ {
-			cand = append(cand, dom.entities[dom.physical(l)].cache.cache)
-		}
-		lnext, caches := sched.FlattenOverCaches(e.machine, spec.Size, dom.level, cand)
-		if caches != nil && lnext == e.machine.MaxLevel() {
-			d, rng, ent := e.flatten(w, caches, ag)
-			return d, rng, ent, mlFlattened
-		}
-	}
-	// Tie to the worker's current cache (Fig. 13) when flattening did not
-	// bottom out at the leaves.
+	return nil, 0
+}
+
+// tie ties ag to the cache w leads (Fig. 13): the leading worker descends
+// to lead the child cache on its path, at physical position pos of the
+// fresh domain over the cache's children that schedules ag's children.
+func (e *Engine) tie(w *worker, geo sched.Domain, pos int, ag *activeGroup) *domain {
 	c := w.leads
-	if c != nil && c.cache.Level < e.machine.MaxLevel() && c.tied == nil &&
-		spec.Size <= c.cache.Capacity {
-		d, rng, ent := e.tie(w, c, ag)
-		return d, rng, ent, mlTied
-	}
-	return nil, sched.Range{}, nil, 0
-}
-
-// tie ties ag to cache c (Fig. 13): the leading worker descends to lead
-// the child cache on its path, and a fresh domain over c's children
-// schedules ag's children.
-func (e *Engine) tie(w *worker, c *mlCache, ag *activeGroup) (*domain, sched.Range, *entity) {
-	c.tied = ag
+	c.Tied = true
 	ag.tiedTo = c
-	children := c.cache.Children()
-	cw := e.machine.CacheOfWorkerAtLevel(w.id, c.cache.Level+1)
-	pos := cw.Index - children[0].Index
-
-	d := e.newDomain(e.cfg.Mode.IsADWS(), pos)
-	d.createdBy = ag
-	d.level = c.cache.Level + 1
-	for i, ch := range children {
-		mc := e.mlCaches[ch.Level][ch.Index]
-		ent := &entity{dom: d, idx: i, cache: mc, worker: -1}
-		d.entities = append(d.entities, ent)
-		mc.entity = ent
-	}
+	d := e.newDomain(geo)
 	c.childDomain = d
 
 	// Leadership descends (Fig. 13 line 56).
-	mcw := e.mlCaches[cw.Level][cw.Index]
-	c.leader = -1
-	mcw.leader = w.id
+	mcw := d.entities[pos].cache
+	c.Leader = -1
+	mcw.Leader = w.id
 	w.leads = mcw
 
-	e.traceBoundary(w.id, trace.BoundaryTie, d, c.cache.Level)
-	rng := d.fullRange()
-	return d, rng, d.entities[pos]
+	e.traceBoundary(w.id, trace.BoundaryTie, d, c.Cache.Level)
+	return d
 }
 
 // untie restores cache c when its tied group completes (Fig. 13 line 58):
@@ -284,7 +194,7 @@ func (e *Engine) tie(w *worker, c *mlCache, ag *activeGroup) (*domain, sched.Ran
 func (e *Engine) untie(ag *activeGroup) {
 	c := ag.tiedTo
 	ag.tiedTo = nil
-	c.tied = nil
+	c.Tied = false
 	tornDown := c.childDomain
 	if c.childDomain != nil {
 		c.childDomain.closed = true
@@ -292,43 +202,25 @@ func (e *Engine) untie(ag *activeGroup) {
 	}
 	wid := ag.parent.execWorker
 	w := e.workers[wid]
-	if w.leads != nil && w.leads != c {
-		w.leads.leader = -1
+	if w.leads != c {
+		w.leads.Leader = -1
 	}
-	c.leader = wid
+	c.Leader = wid
 	w.leads = c
-	e.traceBoundary(wid, trace.BoundaryUntie, tornDown, c.cache.Level)
+	e.traceBoundary(wid, trace.BoundaryUntie, tornDown, c.Cache.Level)
 }
 
-// flatten creates a flattened leaf-level domain over the given leaf caches
-// (paper Fig. 15). Every covered worker participates directly; leadership
-// is untouched, so the spanned caches resume their roles when the
-// flattened group completes.
-func (e *Engine) flatten(w *worker, caches []*topology.Cache, ag *activeGroup) (*domain, sched.Range, *entity) {
-	d := e.newDomain(e.cfg.Mode.IsADWS(), 0)
-	d.createdBy = ag
-	d.level = e.machine.MaxLevel()
-	d.flattened = true
-	pos := -1
-	for i, ch := range caches {
-		wid := ch.FirstWorker()
-		ent := &entity{dom: d, idx: i, worker: wid}
-		d.entities = append(d.entities, ent)
-		e.workers[wid].fdEnts = append(e.workers[wid].fdEnts, ent)
-		if wid == w.id {
-			pos = i
-		}
+// flatten creates a flattened leaf-level domain (paper Fig. 15). Every
+// covered worker participates directly; leadership is untouched, so the
+// spanned caches resume their roles when the flattened group completes.
+func (e *Engine) flatten(w *worker, geo sched.Domain, ag *activeGroup) *domain {
+	d := e.newDomain(geo)
+	for _, ent := range d.entities {
+		e.workers[ent.worker].fdEnts = append(e.workers[ent.worker].fdEnts, ent)
 	}
-	if pos < 0 {
-		// The deciding worker is not under the flattened caches; anchor the
-		// range at entity 0. (Cannot happen for ranges produced by ADWS,
-		// but keep the invariant executor==owner best-effort.)
-		pos = 0
-	}
-	d.offset = pos
 	ag.flattened = d
-	e.traceBoundary(w.id, trace.BoundaryFlatten, d, d.level)
-	return d, d.fullRange(), d.entities[pos]
+	e.traceBoundary(w.id, trace.BoundaryFlatten, d, d.Level())
+	return d
 }
 
 // unflatten tears down a flattened domain when its group completes.
@@ -336,7 +228,7 @@ func (e *Engine) unflatten(ag *activeGroup) {
 	d := ag.flattened
 	ag.flattened = nil
 	d.closed = true
-	e.traceBoundary(ag.parent.execWorker, trace.BoundaryUnflatten, d, d.level)
+	e.traceBoundary(ag.parent.execWorker, trace.BoundaryUnflatten, d, d.Level())
 	for _, ent := range d.entities {
 		w := e.workers[ent.worker]
 		for i, fe := range w.fdEnts {

@@ -76,7 +76,7 @@ func (e *Engine) forkSB(w *worker, t *Task, spec *GroupSpec) {
 	}
 	tasks := make([]*Task, len(spec.Children))
 	for k, cs := range spec.Children {
-		child := e.newTask(cs.Body, cs.Work)
+		child := e.newTask(cs.Body)
 		child.parentGroup = ag
 		child.sbCache = t.sbCache
 		child.sbSize = cs.Size
@@ -93,15 +93,12 @@ func (e *Engine) forkSB(w *worker, t *Task, spec *GroupSpec) {
 	for k := len(tasks) - 1; k >= 1; k-- {
 		w.sbQueue.PushPrimary(0, tasks[k])
 	}
-	t.state = taskWaiting
-	t.waitingOn = ag
 	w.overheadTime += oh
 
 	// Work-first: try to run the first child now; it may anchor elsewhere
 	// or have to wait for capacity.
 	inline := tasks[0]
 	if e.sbPlace(w, inline) {
-		inline.state = taskRunning
 		inline.execWorker = w.id
 		w.current = inline
 	} else {
@@ -277,19 +274,12 @@ func (e *Engine) findWorkSB(w *worker) {
 	// (not just the steal end), since anchored and unanchored tasks mix.
 	var searched float64
 	n := len(e.workers)
-	tries := 2 * e.cfg.MaxStealTries
-	if tries > n-1 {
-		tries = n - 1
-	}
+	tries := min(2*e.cfg.MaxStealTries, n-1)
 	eligible := func(t *Task) bool { return t.sbCache.ContainsWorker(w.id) }
 	for a := 0; a < tries; a++ {
 		searched += e.costs.StealAttempt
 		w.stealAttempts++
-		v := w.rng.Intn(n - 1)
-		if v >= w.id {
-			v++
-		}
-		vic := e.workers[v]
+		vic := e.workers[w.rng.Victim(w.id, n)]
 		if t, ok := vic.sbQueue.StealPrimaryWhere(0, eligible); ok {
 			w.steals++
 			if e.sbPlace(w, t) {
